@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -53,19 +52,6 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 def _load(path: str) -> model.SvarModel:
     return model.load_model(path)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("SVARPG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(1)
-    if cap < 1:
-        raise SystemExit(1)
-    return cap
 
 
 def _cmd_validate(args) -> int:
@@ -372,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads_cap()
     try:
         return args.fn(args)
     except (SvarpgError, OSError) as exc:

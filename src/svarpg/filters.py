@@ -134,6 +134,29 @@ def tilted_convolve(a: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
     return FiniteFilter(start=a.start - b.end, values=out)
 
 
+def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    """lam[s] = b[s] + sum_{j=1..min(s,p)} lam[s-j] a[j] for s = 0..L (b[s] = 0 past p).
+
+    ``a`` and ``b`` carry lags 0..p on their first axis and broadcast over the
+    rest, so one call runs the recursion for many filters; every entry is
+    accumulated in the order of the scalar recursion.
+    """
+    p = len(b) - 1
+    lam = np.zeros((L + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for s in range(L + 1):
+        acc = b[s] if s <= p else 0.0
+        for j in range(1, min(s, p) + 1):
+            acc = acc + lam[s - j] * a[j]
+        lam[s] = acc
+    return lam
+
+
+def _impulse(m: SvarModel) -> np.ndarray:
+    out = np.zeros(m.order + 1)
+    out[0] = 1.0
+    return out
+
+
 def direct_effect_filter(m: SvarModel, v: str, w: str, L: int) -> FiniteFilter:
     """Lag response of w to v through the direct edges and w's auto-dependencies.
 
@@ -148,56 +171,31 @@ def direct_effect_filter(m: SvarModel, v: str, w: str, L: int) -> FiniteFilter:
         )
     if w not in m.processes or v not in m.processes:
         raise SemanticError(f"unknown process in pair ({v}, {w})")
-    a = m.auto_coeffs(w)
-    b = m.cross_coeffs(v, w)
-    p = m.order
-    lam = np.zeros(L + 1)
-    for s in range(L + 1):
-        acc = b[s] if s <= p else 0.0
-        for j in range(1, min(s, p) + 1):
-            acc += lam[s - j] * a[j]
-        lam[s] = acc
-    return FiniteFilter.from_scalar(lam)
+    return FiniteFilter.from_scalar(_lag_recursion(m.auto_coeffs(w), m.cross_coeffs(v, w), L))
 
 
 def internal_dynamics_filter(m: SvarModel, v: str, L: int) -> FiniteFilter:
     """Response of a process to its own innovation through its auto-dependencies."""
     if v not in m.processes:
         raise SemanticError(f"unknown process {v}")
-    a = m.auto_coeffs(v)
-    p = m.order
-    f = np.zeros(L + 1)
-    f[0] = 1.0
-    for j in range(1, L + 1):
-        f[j] = sum(a[k] * f[j - k] for k in range(1, min(j, p) + 1))
-    return FiniteFilter.from_scalar(f)
+    return FiniteFilter.from_scalar(_lag_recursion(m.auto_coeffs(v), _impulse(m), L))
 
 
-def edge_filter_matrix(m: SvarModel, names: tuple[str, ...], L: int) -> FiniteFilter:
-    """Stack direct effect filters into one (L+1, n, n) filter; diagonal zero."""
-    n = len(names)
-    values = np.zeros((L + 1, n, n))
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            if src != dst and m.has_edge(src, dst):
-                values[:, i, j] = direct_effect_filter(m, src, dst, L).scalar_values()
-    return FiniteFilter(start=0, values=values)
+def _edge_filters(m: SvarModel, L: int) -> np.ndarray:
+    """Direct effect filters of every ordered pair of processes, (L+1, n, n).
+
+    Entry [:, i, j] is the filter of processes[i] -> processes[j]; zero off
+    the edge mask, including the diagonal.
+    """
+    cross = np.where(m._edge_mask, m.Phi, 0.0)
+    autos = np.diagonal(m.Phi, axis1=1, axis2=2)[:, None, :]  # target j's a(k)
+    return _lag_recursion(autos, cross, L)
 
 
 def lambda_matrix(m: SvarModel, L: int) -> FiniteFilter:
     """Direct effect filters between observed processes."""
-    return edge_filter_matrix(m, m.observed, L)
-
-
-def gamma_matrix(m: SvarModel, L: int) -> FiniteFilter:
-    """Direct effect filters from latent to observed processes, (L+1, d, m)."""
-    d, n = len(m.latents), len(m.observed)
-    values = np.zeros((L + 1, d, n))
-    for i, src in enumerate(m.latents):
-        for j, dst in enumerate(m.observed):
-            if m.has_edge(src, dst):
-                values[:, i, j] = direct_effect_filter(m, src, dst, L).scalar_values()
-    return FiniteFilter(start=0, values=values)
+    n = m.n_observed
+    return FiniteFilter(start=0, values=_edge_filters(m, L)[:, :n, :n])
 
 
 def _power_series(lam: FiniteFilter, L: int, tail_tol: float, k_max: int) -> FiniteFilter:
@@ -335,36 +333,18 @@ def _two_sided_to_acs(
     return AcsSequence(labels=labels, values=values, tail_bound=tail)
 
 
-def _internal_acs(m: SvarModel, names: tuple[str, ...], L: int) -> FiniteFilter:
-    """Two-sided diagonal covariance filter of the internal dynamics."""
-    n = len(names)
-    out = FiniteFilter.zeros(2 * L + 1, n, n, start=-L)
-    for i, name in enumerate(names):
-        f = internal_dynamics_filter(m, name, L)
-        auto = tilted_convolve(f, f)
-        w = m.noise_var[name]
-        for tau in range(auto.start, auto.end + 1):
-            out.values[tau + L, i, i] = w * auto.scalar_at(tau)
+def _internal_acs(m: SvarModel, block: slice, L: int) -> FiniteFilter:
+    """Two-sided diagonal covariance filter of the internal dynamics of
+    ``m.processes[block]``."""
+    f = _lag_recursion(np.diagonal(m.Phi, axis1=1, axis2=2)[:, block], _impulse(m), L)
+    k = f.shape[1]
+    auto = np.zeros((2 * L + 1, k))
+    for t in range(L + 1):  # tilted self-convolution, in tilted_convolve's order
+        auto[L - t : 2 * L + 1 - t] += f * f[t]
+    noise = np.array([m.noise_var[name] for name in m.processes[block]])
+    out = FiniteFilter.zeros(2 * L + 1, k, k, start=-L)
+    out.values[:, np.arange(k), np.arange(k)] = noise * auto
     return out
-
-
-def _latent_acs(m: SvarModel, L: int, tail_tol: float, k_max: int) -> FiniteFilter:
-    """Covariance filter of the latent block (latents may drive each other)."""
-    c_int = _internal_acs(m, m.latents, L)
-    if _latent_edges(m):
-        lam_l = edge_filter_matrix(m, m.latents, L)
-        lam_inf = _power_series(lam_l, L, tail_tol, k_max)
-        return convolve(lam_inf.transpose(), tilted_convolve(c_int, lam_inf))
-    return c_int
-
-
-def _latent_edges(m: SvarModel) -> set[tuple[str, str]]:
-    latents = set(m.latents)
-    return {
-        (src, dst)
-        for (src, dst, _), val in m.coeffs.items()
-        if val != 0.0 and src in latents and dst in latents and src != dst
-    }
 
 
 def projected_noise_acs(
@@ -374,10 +354,16 @@ def projected_noise_acs(
     the direct latent contributions.  Off-diagonal entries are exactly the
     latent confounding captured by bidirected edges of the latent projection."""
     k_max = k_max or default_k_max(m)
-    out = _internal_acs(m, m.observed, L)
+    n = m.n_observed
+    out = _internal_acs(m, slice(None, n), L)
     if m.latents:
-        gamma = gamma_matrix(m, L)
-        c_lat = _latent_acs(m, L, tail_tol, k_max)
+        edges = _edge_filters(m, L)
+        gamma = FiniteFilter(start=0, values=edges[:, n:, :n])
+        c_lat = _internal_acs(m, slice(n, None), L)
+        if m._edge_mask[n:, n:].any():  # latents driving each other
+            lam_l = FiniteFilter(start=0, values=edges[:, n:, n:])
+            lam_inf = _power_series(lam_l, L, tail_tol, k_max)
+            c_lat = convolve(lam_inf.transpose(), tilted_convolve(c_lat, lam_inf))
         latent_part = convolve(gamma.transpose(), tilted_convolve(c_lat, gamma))
         merged = FiniteFilter.zeros(
             max(out.end, latent_part.end) - min(out.start, latent_part.start) + 1,
@@ -427,9 +413,7 @@ def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsS
     w_prime = b @ np.diag([m.noise_var[name] for name in m.processes]) @ b.T
 
     a = reduced_lag_matrices(m)  # A[k] = (I - Phi0^T)^{-1} Phi(k)^T
-    phi_prime = np.zeros_like(a)
-    for k in range(1, m.order + 1):
-        phi_prime[k] = a[k].T  # Phi(k) (I - Phi(0))^{-1}
+    phi_prime = a.transpose(0, 2, 1)  # Phi(k) (I - Phi(0))^{-1}
 
     psi = np.zeros((L_psi + 1, n, n))
     psi[0] = np.eye(n)

@@ -5,6 +5,12 @@ a sparse coefficient map ``(from, to, lag) -> phi`` and per-process innovation
 variances.  Every process has zero mean.  Edges with ``from == to`` and
 ``lag >= 1`` are auto-dependencies; contemporaneous self-loops are rejected,
 and no observed process may point into a latent one.
+
+The sparse ``coeffs`` map is the input and serialisation format only.  The
+model densifies it once into the read-only tensor ``Phi`` of shape
+``(p + 1, n, n)`` with ``Phi[k, i, j] = phi_{processes[i], processes[j]}(k)``,
+plus an edge mask (nonzero at some lag, diagonal excluded); every
+computation, matrix and graph view reads those two arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,6 +40,9 @@ class SvarModel:
         noise_var: innovation variance per process (>= 0; the JSON schema
             requires strictly positive values, the in-memory type tolerates
             zero for degenerate simulation cases).
+        Phi: read-only dense coefficients, shape (order + 1, n, n), with
+            Phi[k, i, j] the coefficient of processes[i] -> processes[j] at
+            lag k; built from ``coeffs`` on construction.
     """
 
     observed: tuple[str, ...]
@@ -41,6 +50,8 @@ class SvarModel:
     order: int
     coeffs: Mapping[tuple[str, str, int], float]
     noise_var: Mapping[str, float]
+    Phi: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = self.observed + self.latents
@@ -50,6 +61,8 @@ class SvarModel:
             raise SemanticError("order must be nonnegative")
         observed = set(self.observed)
         latents = set(self.latents)
+        index = {name: i for i, name in enumerate(names)}
+        phi = np.zeros((self.order + 1, len(names), len(names)))
         for (src, dst, lag), value in self.coeffs.items():
             if src not in observed | latents or dst not in observed | latents:
                 raise SemanticError(f"unknown process in edge {src}->{dst}")
@@ -61,11 +74,18 @@ class SvarModel:
                 raise SemanticError(f"edge from observed {src} into latent {dst}")
             if not math.isfinite(value):
                 raise SemanticError(f"non-finite coefficient on {src}->{dst}")
+            phi[lag, index[src], index[dst]] = value
         for name in names:
             if name not in self.noise_var:
                 raise SemanticError(f"missing noise variance for {name}")
             if not (self.noise_var[name] >= 0.0):
                 raise SemanticError(f"negative noise variance for {name}")
+        mask = (phi != 0.0).any(axis=0)
+        np.fill_diagonal(mask, False)
+        phi.flags.writeable = False
+        mask.flags.writeable = False
+        object.__setattr__(self, "Phi", phi)
+        object.__setattr__(self, "_edge_mask", mask)
 
     # -- structure accessors -------------------------------------------------
 
@@ -85,58 +105,44 @@ class SvarModel:
     def is_latent(self, name: str) -> bool:
         return name in self.latents
 
+    def _index(self, name: str) -> int:
+        try:
+            return self.processes.index(name)
+        except ValueError:
+            raise SemanticError(f"unknown process {name}") from None
+
     def phi(self, src: str, dst: str, lag: int) -> float:
-        return float(self.coeffs.get((src, dst, lag), 0.0))
+        if not 0 <= lag <= self.order:
+            return 0.0
+        return float(self.Phi[lag, self._index(src), self._index(dst)])
 
     def auto_coeffs(self, name: str) -> np.ndarray:
-        """Auto-dependency coefficients a_1..a_p of one process (index = lag)."""
-        out = np.zeros(self.order + 1)
-        for k in range(1, self.order + 1):
-            out[k] = self.phi(name, name, k)
-        return out
+        """Auto-dependency coefficients a_1..a_p of one process (index = lag; a_0 = 0)."""
+        i = self._index(name)
+        return self.Phi[:, i, i]
 
     def cross_coeffs(self, src: str, dst: str) -> np.ndarray:
         """Coefficients phi_{src,dst}(0..p) as a dense vector."""
-        out = np.zeros(self.order + 1)
-        for k in range(self.order + 1):
-            out[k] = self.phi(src, dst, k)
-        return out
+        return self.Phi[:, self._index(src), self._index(dst)]
 
-    def phi_matrix(self, lag: int, names: tuple[str, ...] | None = None) -> np.ndarray:
-        """Dense Phi(lag) with entry [i, j] = phi_{names[i], names[j]}(lag)."""
-        names = self.processes if names is None else names
-        n = len(names)
-        out = np.zeros((n, n))
-        for i, src in enumerate(names):
-            for j, dst in enumerate(names):
-                out[i, j] = self.phi(src, dst, lag)
-        return out
+    def phi_matrix(self, lag: int) -> np.ndarray:
+        """Dense Phi(lag) with entry [i, j] = phi_{processes[i], processes[j]}(lag)."""
+        if not 0 <= lag <= self.order:
+            return np.zeros(self.Phi.shape[1:])
+        return self.Phi[lag]
 
     def parents(self, name: str) -> tuple[str, ...]:
         """Distinct processes with at least one edge into ``name``."""
-        seen = []
-        for (src, dst, _), value in self.coeffs.items():
-            if dst == name and src != name and value != 0.0 and src not in seen:
-                seen.append(src)
-        return tuple(sorted(seen, key=self.processes.index))
+        rows = np.flatnonzero(self._edge_mask[:, self._index(name)])
+        return tuple(self.processes[i] for i in rows)
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return src != dst and any(
-            self.phi(src, dst, k) != 0.0 for k in range(self.order + 1)
-        )
+        return bool(self._edge_mask[self._index(src), self._index(dst)])
 
     def with_noise_var(self, overrides: Mapping[str, float]) -> "SvarModel":
         merged = dict(self.noise_var)
         merged.update(overrides)
         return dataclasses.replace(self, noise_var=merged)
-
-    def drop_edges_into(self, targets: Iterable[str]) -> "SvarModel":
-        """Model with every edge pointing into ``targets`` removed (auto-deps included)."""
-        blocked = set(targets)
-        kept = {
-            key: value for key, value in self.coeffs.items() if key[1] not in blocked
-        }
-        return dataclasses.replace(self, coeffs=kept)
 
     # -- serialization -------------------------------------------------------
 
@@ -277,13 +283,12 @@ def load_model(path) -> SvarModel:
         return parse_model(handle.read())
 
 
-def contemporaneous_solve_matrix(m: SvarModel, names: tuple[str, ...] | None = None) -> np.ndarray:
-    """Return (I - Phi(0)^T)^{-1} for the given process block.
+def contemporaneous_solve_matrix(m: SvarModel) -> np.ndarray:
+    """Return (I - Phi(0)^T)^{-1}.
 
     Raises SingularContemporaneousError when the system is numerically singular.
     """
-    phi0 = m.phi_matrix(0, names)
-    a = np.eye(phi0.shape[0]) - phi0.T
+    a = np.eye(m.n_processes) - m.phi_matrix(0).T
     if np.linalg.cond(a) > _COND_LIMIT:
         raise SingularContemporaneousError(
             "I - Phi(0)^T is numerically singular; contemporaneous structure unsolvable"
@@ -291,26 +296,21 @@ def contemporaneous_solve_matrix(m: SvarModel, names: tuple[str, ...] | None = N
     return np.linalg.inv(a)
 
 
-def reduced_lag_matrices(m: SvarModel, names: tuple[str, ...] | None = None) -> np.ndarray:
+def reduced_lag_matrices(m: SvarModel) -> np.ndarray:
     """Reduced-form VAR coefficient stack A with A[k] = (I - Phi(0)^T)^{-1} Phi(k)^T."""
-    names = m.processes if names is None else names
-    b = contemporaneous_solve_matrix(m, names)
-    stack = np.zeros((m.order + 1, len(names), len(names)))
-    for k in range(1, m.order + 1):
-        stack[k] = b @ m.phi_matrix(k, names).T
+    stack = np.zeros(m.Phi.shape)
+    stack[1:] = contemporaneous_solve_matrix(m) @ m.Phi[1:].transpose(0, 2, 1)
     return stack
 
 
 def companion_matrix(m: SvarModel) -> np.ndarray:
-    """Companion form of the reduced VAR(1) stacking; empty for order 0."""
+    """Companion form of the reduced VAR(1) stacking; an n x n zero block for order 0."""
     n = m.n_processes
     p = max(m.order, 1)
     a = reduced_lag_matrices(m)
     comp = np.zeros((n * p, n * p))
-    for k in range(1, m.order + 1):
-        comp[:n, (k - 1) * n : k * n] = a[k]
-    if p > 1:
-        comp[n:, : n * (p - 1)] = np.eye(n * (p - 1))
+    comp[:n, : n * m.order] = a[1:].transpose(1, 0, 2).reshape(n, n * m.order)
+    comp[n:, : n * (p - 1)] = np.eye(n * (p - 1))
     return comp
 
 
@@ -325,10 +325,7 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
     per_process_ok = all(s < 1.0 for s in auto_sums.values())
-    grand_total = sum(
-        abs(v) for v in m.coeffs.values()
-    )
-    global_ok = grand_total < 1.0
+    global_ok = float(np.abs(m.Phi).sum()) < 1.0
 
     a = reduced_lag_matrices(m)
     n = m.n_processes
@@ -364,8 +361,6 @@ def process_graph(m: SvarModel):
     """Finite process graph of the model: V -> W iff some phi_{V,W}(k) != 0, V != W."""
     from .graph import ProcessGraph
 
-    edges = set()
-    for (src, dst, _), value in m.coeffs.items():
-        if src != dst and value != 0.0:
-            edges.add((src, dst))
-    return ProcessGraph(observed=m.observed, latents=m.latents, edges=frozenset(edges))
+    names = m.processes
+    edges = frozenset((names[i], names[j]) for i, j in zip(*np.nonzero(m._edge_mask)))
+    return ProcessGraph(observed=m.observed, latents=m.latents, edges=edges)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExplosionError, SemanticError, TooShortError
-from .model import SvarModel, contemporaneous_solve_matrix, reduced_lag_matrices
+from .model import SvarModel, companion_matrix, contemporaneous_solve_matrix
 
 _EXPLOSION_LIMIT = 1e12
 
@@ -81,12 +81,7 @@ def simulate(m: SvarModel, T: int, seed: int = 0, burn_in: int = 1024) -> Trajec
     if p == 0:
         values = eta
     else:
-        a = reduced_lag_matrices(m)  # A[k] already folds the contemporaneous solve
-        comp = np.zeros((n * p, n * p))
-        for k in range(1, p + 1):
-            comp[:n, (k - 1) * n : k * n] = a[k]
-        if p > 1:
-            comp[n:, : n * (p - 1)] = np.eye(n * (p - 1))
+        comp = companion_matrix(m)  # folds the contemporaneous solve
         state = np.zeros(n * p)
         values = np.empty((n_steps, n))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -124,11 +124,8 @@ def edge_transfer(m: SvarModel, v: str, w: str) -> RationalTransfer:
 
 def internal_spectrum(m: SvarModel, v: str, omegas: np.ndarray) -> np.ndarray:
     """Spectral density of the internal dynamics of one process (real, positive)."""
-    den = -m.auto_coeffs(v)
-    den[0] = 1.0
-    z = np.exp(-1j * omegas)
-    powers = z[:, None] ** np.arange(len(den))[None, :]
-    return m.noise_var[v] / np.abs(powers @ den) ** 2
+    _, den = _transfer(m, omegas)
+    return m.noise_var[v] / np.abs(den[:, m._index(v)]) ** 2
 
 
 def fourier(f: FiniteFilter, grid: int | np.ndarray) -> TransferGrid:
@@ -140,64 +137,86 @@ def fourier(f: FiniteFilter, grid: int | np.ndarray) -> TransferGrid:
     return TransferGrid(omegas=omegas, values=values)
 
 
-def _edge_matrix(m: SvarModel, rows: tuple[str, ...], cols: tuple[str, ...], omegas) -> np.ndarray:
-    out = np.zeros((len(omegas), len(rows), len(cols)), dtype=complex)
-    for i, src in enumerate(rows):
-        for j, dst in enumerate(cols):
-            if src != dst and m.has_edge(src, dst):
-                out[:, i, j] = edge_transfer(m, src, dst).evaluate(omegas)
-    return out
+def _transfer(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge transfer functions H(omega) over all processes and the denominators D(omega).
+
+    ``H[:, i, j]`` is ``edge_transfer(m, processes[i], processes[j])`` on the
+    grid, evaluated only at edge-mask positions and exactly zero elsewhere;
+    ``D[:, j] = 1 - sum_k a_j(k) z^k`` carries the auto-dependencies of
+    process j.  Shapes (N, n, n) and (N, n).
+    """
+    z = np.exp(-1j * omegas)
+    powers = z[:, None] ** np.arange(m.order + 1)[None, :]
+    den = -np.diagonal(m.Phi, axis1=1, axis2=2)
+    den[0] = 1.0
+    d = powers @ den
+    rows, cols = np.nonzero(m._edge_mask)
+    h = np.zeros((len(omegas), m.n_processes, m.n_processes), dtype=complex)
+    h[:, rows, cols] = (powers @ m.Phi[:, rows, cols]) / d[:, cols]
+    return h, d
+
+
+def _solve(a: np.ndarray, b: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) batched over frequencies.
+
+    When the batch fails, the frequencies are redone one at a time so that the
+    singular one is reported as SingularAtFrequencyError.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.empty(b.shape, dtype=complex)
+        for i in range(len(omegas)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError as exc:
+                raise SingularAtFrequencyError(float(omegas[i])) from exc
+        return out
 
 
 def _solve_sandwich(a: np.ndarray, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """(A)^{-T} S (A)^{-*} per frequency, batched."""
-    try:
-        left = np.linalg.solve(a.transpose(0, 2, 1), s)
-        out = np.linalg.solve(
-            np.conj(a).transpose(0, 2, 1), left.transpose(0, 2, 1)
-        ).transpose(0, 2, 1)
-    except np.linalg.LinAlgError:
-        # redo frequency by frequency to report the offender
-        out = np.empty_like(s)
-        for i in range(len(omegas)):
-            try:
-                left_i = np.linalg.solve(a[i].T, s[i])
-                out[i] = np.linalg.solve(np.conj(a[i]).T, left_i.T).T
-            except np.linalg.LinAlgError as exc:
-                raise SingularAtFrequencyError(float(omegas[i])) from exc
-    return out
+    left = _solve(a.transpose(0, 2, 1), s, omegas)
+    right = _solve(np.conj(a).transpose(0, 2, 1), left.transpose(0, 2, 1), omegas)
+    return right.transpose(0, 2, 1)
 
 
-def _assemble(m: SvarModel, omegas: np.ndarray) -> dict:
-    """Transfer matrices and noise spectra shared by the spectral operations."""
-    n_obs = m.n_observed
-    h = _edge_matrix(m, m.observed, m.observed, omegas)
-    s_int = np.zeros((len(omegas), n_obs, n_obs), dtype=complex)
-    for i, name in enumerate(m.observed):
-        s_int[:, i, i] = internal_spectrum(m, name, omegas)
+def _inverse_entry(h: np.ndarray, i: int, j: int, omegas: np.ndarray) -> np.ndarray:
+    """Entry (i, j) of (I - h)^{-1} per frequency, from one column solve."""
+    n = h.shape[1]
+    rhs = np.zeros((len(omegas), n, 1), dtype=complex)
+    rhs[:, j, 0] = 1.0
+    return _solve(np.eye(n)[None, :, :] - h, rhs, omegas)[:, i, 0]
 
-    s_li = s_int.copy()
-    j = None
+
+def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observed edge transfers H and the projected noise spectrum S_LI.
+
+    S_LI holds the internal spectra of the observed processes on its diagonal
+    plus the latent contribution J^T S_lat J^*, where the latent spectrum
+    S_lat is itself solved through the latent-to-latent edges when any exist.
+    """
+    h, d = _transfer(m, omegas)
+    internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(d) ** 2
+    s_int = internal[:, :, None] * np.eye(m.n_processes)
+    n = m.n_observed
+    s_li = s_int[:, :n, :n]
     if m.latents:
-        j = _edge_matrix(m, m.latents, m.observed, omegas)
-        d = len(m.latents)
-        s_lat = np.zeros((len(omegas), d, d), dtype=complex)
-        for i, name in enumerate(m.latents):
-            s_lat[:, i, i] = internal_spectrum(m, name, omegas)
-        h_lat = _edge_matrix(m, m.latents, m.latents, omegas)
-        if np.any(h_lat):
-            eye = np.eye(d)[None, :, :]
-            s_lat = _solve_sandwich(eye - h_lat, s_lat, omegas)
+        j = h[:, n:, :n]
+        s_lat = s_int[:, n:, n:]
+        if m._edge_mask[n:, n:].any():
+            eye = np.eye(len(m.latents))[None, :, :]
+            s_lat = _solve_sandwich(eye - h[:, n:, n:], s_lat, omegas)
         s_li = s_li + np.einsum("wdi,wde,wej->wij", j, s_lat, np.conj(j))
-    return {"H": h, "J": j, "S_I": s_int, "S_LI": s_li}
+    return h[:, :n, :n], s_li
 
 
 def spectral_density(m: SvarModel, grid: int | np.ndarray = 256) -> SpectralMatrix:
     """Analytic spectral density of the observed processes."""
     omegas = _as_omegas(grid)
-    parts = _assemble(m, omegas)
+    h, s_li = _assemble(m, omegas)
     eye = np.eye(m.n_observed)[None, :, :]
-    values = _solve_sandwich(eye - parts["H"], parts["S_LI"], omegas)
+    values = _solve_sandwich(eye - h, s_li, omegas)
     return SpectralMatrix(labels=m.observed, omegas=omegas, values=values)
 
 
@@ -222,23 +241,11 @@ def cctf(
     if not controls <= set(m.observed):
         raise SemanticError("controls must be observed processes")
     omegas = _as_omegas(grid)
-    h = _edge_matrix(m, m.observed, m.observed, omegas)
-    for name in controls | {x}:
-        h[:, :, m.observed.index(name)] = 0.0
-    a = np.eye(m.n_observed)[None, :, :] - h
-    rhs = np.zeros((len(omegas), m.n_observed, 1), dtype=complex)
-    rhs[:, m.observed.index(y), 0] = 1.0
-    try:
-        col = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        col = np.empty_like(rhs)
-        for i in range(len(omegas)):
-            try:
-                col[i] = np.linalg.solve(a[i], rhs[i])
-            except np.linalg.LinAlgError as exc:
-                raise SingularAtFrequencyError(float(omegas[i])) from exc
-    values = col[:, m.observed.index(x), :][:, :, None]
-    return TransferGrid(omegas=omegas, values=values)
+    n = m.n_observed
+    h = _transfer(m, omegas)[0][:, :n, :n]
+    h[:, :, [m.observed.index(name) for name in controls | {x}]] = 0.0
+    values = _inverse_entry(h, m.observed.index(x), m.observed.index(y), omegas)
+    return TransferGrid(omegas=omegas, values=values[:, None, None])
 
 
 def path_transfer(m: SvarModel, path: DirectedPath, grid: int | np.ndarray) -> np.ndarray:
@@ -269,10 +276,9 @@ def freq_path_rule_check(
 ) -> float:
     """Max deviation between the matrix-inverse entry and the truncated path sum."""
     omegas = _as_omegas(grid)
-    h = _edge_matrix(m, m.observed, m.observed, omegas)
-    a = np.eye(m.n_observed)[None, :, :] - h
-    inv = np.linalg.inv(a)
-    exact = inv[:, m.observed.index(v), m.observed.index(w)]
+    n = m.n_observed
+    h = _transfer(m, omegas)[0][:, :n, :n]
+    exact = _inverse_entry(h, m.observed.index(v), m.observed.index(w), omegas)
     total = np.zeros(len(omegas), dtype=complex)
     for path in enumerate_paths(process_graph(m), v, w, max_cycle_depth=depth):
         if all(name not in m.latents for name in path.vertices):
@@ -283,13 +289,13 @@ def freq_path_rule_check(
 def trek_monomial_function(m: SvarModel, trek: Trek, grid: int | np.ndarray = 256) -> np.ndarray:
     """Per-frequency contribution of one trek to the cross spectrum."""
     omegas = _as_omegas(grid)
-    parts = _assemble(m, omegas)
+    _, s_li = _assemble(m, omegas)
     if trek.bidirected is None:
         i = j = m.observed.index(trek.top)
     else:
         i = m.observed.index(trek.bidirected[0])
         j = m.observed.index(trek.bidirected[1])
-    middle = parts["S_LI"][:, i, j]
+    middle = s_li[:, i, j]
     left = path_transfer(m, trek.left, omegas)
     right = path_transfer(m, trek.right, omegas)
     return left * middle * np.conj(right)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ar1
-from svarpg.errors import LatentPresentError, SemanticError
+from svarpg.errors import LatentPresentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
 from svarpg.model import SvarModel, process_graph
@@ -212,6 +212,22 @@ def test_freq_path_rule_geometric_decay(graph_c):
         dev = freq_path_rule_check(graph_c, "Z", "Y", OM, depth=depth)
         assert dev / prev <= bound
         prev = dev
+
+
+def test_singular_frequency_is_typed_error():
+    # A <-> B at lag 1 with gain 1: det(I - H) = 1 - z^2 vanishes at omega = 0
+    m = SvarModel(
+        observed=("A", "B"),
+        latents=(),
+        order=1,
+        coeffs={("A", "B", 1): 1.0, ("B", "A", 1): 1.0},
+        noise_var={"A": 1.0, "B": 1.0},
+    )
+    cctf(m, "A", "B", (), 8)  # cutting the edges into A removes the loop
+    with pytest.raises(SingularAtFrequencyError):
+        spectral_density(m, 8)
+    with pytest.raises(SingularAtFrequencyError):
+        freq_path_rule_check(m, "A", "B", 8)
 
 
 # -- trek rule in frequency domain ----------------------------------------------
