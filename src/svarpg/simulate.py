@@ -1,22 +1,35 @@
 """Monte-Carlo ground truth: trajectory sampling and Welch cross-spectra.
 
 Sampling uses the counter-based Philox generator with one substream per
-process, keyed by (master seed, process index), so trajectories are
-bit-reproducible for a fixed seed and numpy version.  The Welch estimator
-targets the same spectral convention as the analytic code: the plain Fourier
-sum of the auto-covariance sequence, no 1/2pi.
+process, keyed by (master seed, process index).  For order p >= 1 the
+companion recursion s_t = C s_{t-1} + [eta_t; 0] is evaluated in two levels:
+the n_steps innovations are cut into blocks of B = ceil(sqrt(n_steps)) steps,
+every block runs its B steps at once from a zero start (its forced response),
+a loop over the blocks carries the start states s = C^B s + end state, and
+one product with the top rows of C^1..C^B adds each block's free response.
+That is about 2 sqrt(n_steps) vectorised steps instead of n_steps, with the
+same values as the step-by-step recursion up to rounding.  Trajectories are
+bit-reproducible for a fixed seed, numpy version and BLAS.
+
+The Welch estimator targets the same spectral convention as the analytic
+code: the plain Fourier sum of the auto-covariance sequence, no 1/2pi.  It
+accumulates only the returned grid bins, over chunks of segments whose size
+follows from a fixed memory budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExplosionError, SemanticError, TooShortError
 from .model import SvarModel, companion_matrix, contemporaneous_solve_matrix
 
 _EXPLOSION_LIMIT = 1e12
+_WELCH_CHUNK_BYTES = 1 << 21  # bound on the FFT output of one chunk of segments
 
 
 @dataclass(frozen=True)
@@ -56,8 +69,8 @@ class SpectralEstimate:
 
 
 def _innovations(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
-    if seed < 0:
-        raise SemanticError("seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise SemanticError("seed must be in [0, 2^64)")
     out = np.empty((n_steps, m.n_processes))
     for idx, name in enumerate(m.processes):
         bits = np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
@@ -67,30 +80,45 @@ def _innovations(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
     return out
 
 
+def _blocked_recursion(comp: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Top rows of s_t = comp s_{t-1} + [eta_t; 0] from s_{-1} = 0, in sqrt-sized blocks."""
+    n_steps, n = eta.shape
+    k = comp.shape[0]
+    size = math.isqrt(n_steps - 1) + 1  # ceil(sqrt(n_steps))
+    blocks = -(-n_steps // size)
+    # rows [:blocks] are the zero-padded innovation blocks; the k rows after
+    # them start at the identity and collect the top rows of comp^1..comp^size
+    out = np.zeros((blocks + k, size, n))
+    out[:blocks].reshape(-1, n)[:n_steps] = eta
+    state = np.zeros((blocks + k, k))
+    state[blocks:] = np.eye(k)
+    for j in range(size):
+        state = state @ comp.T
+        state[:, :n] += out[:, j]
+        out[:, j] = state[:, :n]
+    start = np.zeros((blocks, k))  # s_{b*size - 1}, the state each block starts from
+    for b in range(1, blocks):
+        start[b] = start[b - 1] @ state[blocks:] + state[b - 1]
+    out[:blocks] += (start @ out[blocks:].reshape(k, -1)).reshape(blocks, size, n)
+    return out[:blocks].reshape(-1, n)[:n_steps]
+
+
 def simulate(m: SvarModel, T: int, seed: int = 0, burn_in: int = 1024) -> Trajectory:
     """Draw one trajectory of length T after discarding burn_in samples."""
     if T <= 0:
         raise SemanticError("trajectory length must be positive")
-    n = m.n_processes
-    p = m.order
+    if burn_in < 0:
+        raise SemanticError("burn_in must be nonnegative")
     n_steps = T + burn_in
 
     solve0 = contemporaneous_solve_matrix(m)  # (I - Phi(0)^T)^{-1}
     eta = _innovations(m, n_steps, seed) @ solve0.T
 
-    if p == 0:
+    if m.order == 0:
         values = eta
     else:
-        comp = companion_matrix(m)  # folds the contemporaneous solve
-        state = np.zeros(n * p)
-        values = np.empty((n_steps, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(n_steps):
-                state = comp @ state
-                state[:n] += eta[t]
-                values[t] = state[:n]
-                if t % 256 == 0 and not np.all(np.abs(state) < _EXPLOSION_LIMIT):
-                    raise ExplosionError(f"trajectory left the finite guard at step {t}")
+            values = _blocked_recursion(companion_matrix(m), eta)
 
     if not np.all(np.isfinite(values)) or np.abs(values).max() >= _EXPLOSION_LIMIT:
         raise ExplosionError("trajectory left the finite guard")
@@ -115,6 +143,8 @@ def welch_spectrum(
     The segment length must be a multiple of the grid size; segment FFT bins
     are subsampled onto the grid, so no interpolation happens.
     """
+    if segment_len < 1 or grid < 1:
+        raise SemanticError("segment_len and grid must be positive")
     data = traj.observed() if observed_only else traj.values
     labels = traj.labels[: traj.n_observed] if observed_only else traj.labels
     T, n_series = data.shape
@@ -126,22 +156,20 @@ def welch_spectrum(
         raise SemanticError("segment_len must be a multiple of the grid size")
 
     step = max(1, int(round(segment_len * (1.0 - overlap))))
-    starts = range(0, T - segment_len + 1, step)
+    stride = segment_len // grid
     idx = np.arange(segment_len)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / segment_len)
     norm = (window**2).sum()
 
-    acc = np.zeros((segment_len, n_series, n_series), dtype=complex)
-    count = 0
-    for s0 in starts:
-        seg = data[s0 : s0 + segment_len] * window[:, None]
-        seg_fft = np.fft.fft(seg, axis=0)  # (segment_len, n_series)
-        acc += np.einsum("wi,wj->wij", seg_fft, np.conj(seg_fft))
-        count += 1
-    acc /= count * norm
-
-    stride = segment_len // grid
-    values = acc[::stride]
+    # (count, n_series, segment_len) views of the series, no copy
+    segments = sliding_window_view(data, segment_len, axis=0)[::step]
+    count = segments.shape[0]
+    chunk = max(1, _WELCH_CHUNK_BYTES // (16 * n_series * segment_len))
+    values = np.zeros((grid, n_series, n_series), dtype=complex)
+    for c0 in range(0, count, chunk):
+        bins = np.fft.fft(segments[c0 : c0 + chunk] * window, axis=-1)[..., ::stride]
+        values += bins.transpose(2, 1, 0) @ np.conj(bins).transpose(2, 0, 1)
+    values /= count * norm
     omegas = 2.0 * np.pi * np.arange(grid) / grid
     return SpectralEstimate(
         labels=labels,

@@ -84,6 +84,17 @@ def random_model(
     raise AssertionError("could not draw a stable random model")
 
 
+# A -> B -> C -> A cycle, latent-to-latent edge L2 -> L1, latents into observed
+CYCLIC_LATENT_EDGES = (
+    ("A", "B"),
+    ("B", "C"),
+    ("C", "A"),
+    ("L2", "L1"),
+    ("L1", "A"),
+    ("L1", "C"),
+    ("L2", "B"),
+)
+
 FRONTDOOR_EDGES = (("L", "X"), ("L", "Y"), ("X", "W"), ("W", "Y"), ("X", "Y"))
 INSTRUMENT_EDGES = (("X", "M"), ("M", "Y"), ("L", "M"), ("L", "Y"))
 REGRESSION_EDGES = (("Z", "X"), ("Z", "M"), ("Z", "Y"), ("X", "M"), ("X", "Y"), ("M", "Y"))

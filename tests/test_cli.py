@@ -208,3 +208,23 @@ def test_reruns_are_byte_identical(capsys):
     _, out1, _ = _run(capsys, "spectral", GRAPH_A, "--grid", "16")
     _, out2, _ = _run(capsys, "spectral", GRAPH_A, "--grid", "16")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--burn-in", "-2"], ["--seed", "18446744073709551616"]], ids=["burn_in", "seed"]
+)
+def test_simulate_bad_arguments_exit_2(capsys, flags):
+    code, out, err = _run(capsys, "simulate", GRAPH_C, "--length", "4", *flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SemanticError"
+
+
+def test_estimate_grid_zero_exits_2(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    code, _, _ = _run(capsys, "simulate", GRAPH_C, "--length", "4096", "-o", str(series))
+    assert code == 0
+    code, out, err = _run(capsys, "estimate", str(series), "--segment-len", "1024", "--grid", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SemanticError"

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, random_model
+from conftest import CYCLIC_LATENT_EDGES, FIXTURES, random_model
 from svarpg.filters import _edge_filters, direct_effect_filter, lambda_matrix
 from svarpg.model import load_model, parse_document, process_graph
 from svarpg.spectral import _transfer, edge_transfer, frequency_grid
@@ -21,17 +21,6 @@ MODELS = [
     "feedback_mediator",
     "cyclic_latent",
 ]
-
-# A -> B -> C -> A cycle, latent-to-latent edge L2 -> L1, latents into observed
-CYCLIC_LATENT_EDGES = (
-    ("A", "B"),
-    ("B", "C"),
-    ("C", "A"),
-    ("L2", "L1"),
-    ("L1", "A"),
-    ("L1", "C"),
-    ("L2", "B"),
-)
 
 OM = frequency_grid(128)
 

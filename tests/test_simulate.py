@@ -1,14 +1,66 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import ar1
+from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
 from svarpg.errors import ExplosionError, SemanticError, TooShortError
 from svarpg.filters import acs_via_sep
-from svarpg.model import SvarModel
-from svarpg.simulate import simulate, welch_spectrum
+from svarpg.model import SvarModel, companion_matrix, contemporaneous_solve_matrix, load_model
+from svarpg.simulate import _innovations, simulate, welch_spectrum
 from svarpg.spectral import spectral_density
+
+FIXTURE_NAMES = (
+    "graph_a",
+    "graph_b",
+    "graph_c",
+    "instrument",
+    "confounded_mediator",
+    "feedback_mediator",
+)
+
+
+def _model(name: str) -> SvarModel:
+    if name == "cyclic_latent":  # seeded cyclic model with latents and lag-0 edges
+        return random_model(
+            np.random.default_rng(5),
+            ("A", "B", "C"),
+            ("L1", "L2"),
+            CYCLIC_LATENT_EDGES,
+            order=3,
+            contemporaneous=True,
+        )
+    return load_model(FIXTURES / f"{name}.json")
+
+
+def _step_loop(m: SvarModel, T: int, seed: int, burn_in: int) -> np.ndarray:
+    """Reference: the companion recursion, one time step per iteration."""
+    n, p = m.n_processes, m.order
+    n_steps = T + burn_in
+    eta = _innovations(m, n_steps, seed) @ contemporaneous_solve_matrix(m).T
+    comp = companion_matrix(m)
+    state = np.zeros(n * p)
+    values = np.empty((n_steps, n))
+    for t in range(n_steps):
+        state = comp @ state
+        state[:n] += eta[t]
+        values[t] = state[:n]
+    return values[burn_in:]
+
+
+def _welch_loop(data: np.ndarray, segment_len: int, overlap: float, grid: int) -> np.ndarray:
+    """Reference: full-length accumulator, one einsum per segment, bins subsampled last."""
+    step = max(1, int(round(segment_len * (1.0 - overlap))))
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    acc = np.zeros((segment_len, data.shape[1], data.shape[1]), dtype=complex)
+    count = 0
+    for s0 in range(0, data.shape[0] - segment_len + 1, step):
+        seg_fft = np.fft.fft(data[s0 : s0 + segment_len] * window[:, None], axis=0)
+        acc += np.einsum("wi,wj->wij", seg_fft, np.conj(seg_fft))
+        count += 1
+    return acc[:: segment_len // grid] / (count * (window**2).sum())
 
 
 def _batch_se(samples: np.ndarray, n_batches: int = 100) -> float:
@@ -132,3 +184,86 @@ def test_welch_grid_must_divide_segment():
     traj = simulate(ar1(0.5), T=8192, seed=0)
     with pytest.raises(SemanticError):
         welch_spectrum(traj, segment_len=1000, overlap=0.5, grid=64)
+
+
+def _assert_matches_step_loop(m: SvarModel, T: int, seed: int, burn_in: int) -> None:
+    got = simulate(m, T=T, seed=seed, burn_in=burn_in).values
+    want = _step_loop(m, T, seed, burn_in)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "cyclic_latent"])
+def test_blocked_simulation_matches_step_loop(name):
+    _assert_matches_step_loop(_model(name), T=3000, seed=17, burn_in=1024)
+
+
+# n_steps around the block length B = ceil(sqrt(n_steps)): 1; B - 1, B and
+# B + 1 for B = 2 and 8, i.e. 3, 4, 5 and 63, 64, 65; fewer steps than the
+# order (graph_b has p = 6); and the non-square 1000
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 63, 64, 65, 1000])
+@pytest.mark.parametrize("name", ["graph_b", "cyclic_latent"])
+def test_blocked_simulation_lengths_without_burn_in(name, n_steps):
+    _assert_matches_step_loop(_model(name), T=n_steps, seed=3, burn_in=0)
+
+
+def test_zero_variance_stays_exactly_zero_with_cross_lags():
+    m = SvarModel(
+        observed=("A", "B"),
+        latents=(),
+        order=2,
+        coeffs={("A", "A", 1): 0.5, ("A", "B", 2): 0.3, ("B", "A", 1): -0.2},
+        noise_var={"A": 0.0, "B": 0.0},
+    )
+    assert np.all(simulate(m, T=5000, seed=1).values == 0.0)
+
+
+def test_explosive_order_two_raises_without_warnings():
+    m = SvarModel(
+        observed=("A", "B"),
+        latents=(),
+        order=2,
+        coeffs={("A", "A", 1): 0.9, ("A", "B", 1): 0.8, ("B", "A", 2): 0.9, ("B", "B", 1): 0.5},
+        noise_var={"A": 1.0, "B": 1.0},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExplosionError):
+            simulate(m, T=100_000, seed=2)
+
+
+@pytest.mark.parametrize("burn_in", [-1, -5])
+def test_negative_burn_in_is_semantic_error(burn_in):
+    with pytest.raises(SemanticError):
+        simulate(ar1(0.5), T=100, burn_in=burn_in)
+
+
+def test_seed_range_is_semantic_error():
+    assert simulate(ar1(0.5), T=4, seed=2**64 - 1).length == 4
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(SemanticError):
+            simulate(ar1(0.5), T=4, seed=seed)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+@pytest.mark.parametrize("observed_only", [True, False])
+def test_welch_matches_segment_loop(instrument_model, overlap, observed_only):
+    traj = simulate(instrument_model, T=20_000, seed=8)
+    est = welch_spectrum(
+        traj, segment_len=512, overlap=overlap, grid=128, observed_only=observed_only
+    )
+    data = traj.observed() if observed_only else traj.values
+    want = _welch_loop(data, 512, overlap, 128)
+    step = max(1, int(round(512 * (1.0 - overlap))))
+    assert est.segment_count == len(range(0, 20_000 - 512 + 1, step))
+    assert est.values.shape == want.shape
+    assert np.abs(est.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "segment_len,grid", [(1024, 0), (1024, -256), (0, 64), (-1024, 64), (0, 0)]
+)
+def test_welch_nonpositive_sizes_are_semantic_errors(segment_len, grid):
+    traj = simulate(ar1(0.5), T=8192, seed=0)
+    with pytest.raises(SemanticError):
+        welch_spectrum(traj, segment_len=segment_len, overlap=0.5, grid=grid)
