@@ -28,7 +28,8 @@ class SelfPairError(SvarpgError):
 
 
 class NonConvergentError(SvarpgError):
-    """A filter power series failed to decay; the loop gain is not below one."""
+    """A filter series has no convergence certificate: rho(Lambda_0) >= 1 or
+    a companion spectral radius is not below one."""
 
 
 class WindowTooSmallError(SvarpgError):

@@ -1,10 +1,15 @@
-"""Time-domain representation: truncated filter algebra and covariance sequences.
+"""Time-domain representation: exact filter algebra and covariance sequences.
 
 Filters are finitely supported Z-indexed matrix sequences.  Causal filters
-start at lag 0; tilted convolutions produce two-sided supports.  All infinite
-objects (geometric filter series, covariance sequences) are truncated at an
-explicit lag horizon with a reported tail estimate; the stability conditions
-enforced by the model module make those tails geometric.
+start at lag 0; tilted convolutions produce two-sided supports.  The filter
+series (I - Lambda)^{-1} = sum_k Lambda^k of a block of processes is computed
+exactly on lags 0..L from the finite order-p recursion of (I - Phi(z))^{-1},
+and only with a convergence certificate: rho(Lambda_0) < 1 (every lag is a
+convergent path sum) and a companion spectral radius below one for the
+block's coefficients (the series is summable and agrees with the transfer
+functions).  Noise covariances also need stable internal dynamics.
+Covariance sequences are truncated at an explicit lag horizon with a
+reported tail estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ from .errors import (
     SemanticError,
 )
 from .graph import Trek
-from .model import SvarModel, check_stability, contemporaneous_solve_matrix, reduced_lag_matrices
+from .model import (
+    STABLE_RADIUS,
+    SvarModel,
+    companion_matrix,
+    contemporaneous_solve_matrix,
+    phi_companion,
+    reduced_lag_matrices,
+)
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,7 @@ def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     rest, so one call runs the recursion for many filters; every entry is
     accumulated in the order of the scalar recursion.
     """
+    _check_horizon(L)
     p = len(b) - 1
     lam = np.zeros((L + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     for s in range(L + 1):
@@ -149,6 +162,11 @@ def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
             acc = acc + lam[s - j] * a[j]
         lam[s] = acc
     return lam
+
+
+def _check_horizon(L: int) -> None:
+    if L < 0:
+        raise SemanticError(f"lag horizon {L} is negative")
 
 
 def _impulse(m: SvarModel) -> np.ndarray:
@@ -198,62 +216,48 @@ def lambda_matrix(m: SvarModel, L: int) -> FiniteFilter:
     return FiniteFilter(start=0, values=_edge_filters(m, L)[:, :n, :n])
 
 
-def _power_series(lam: FiniteFilter, L: int, tail_tol: float, k_max: int) -> FiniteFilter:
-    """Geometric series of a square filter, truncated to lag L.
+def _certify(a: np.ndarray, what: str) -> None:
+    """Raise NonConvergentError unless the spectral radius of ``a`` is below STABLE_RADIUS."""
+    rho = float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
+    if rho >= STABLE_RADIUS:
+        raise NonConvergentError(f"{what} {rho:.4g} >= 1")
 
-    Divergence shows up in one of two ways: the power norms stop decaying
-    within the iteration budget (zero-lag cycles), or they grow geometrically
-    until the support leaves the lag window and the truncated norm collapses
-    to zero in one step.  Both raise NonConvergentError.
+
+def _filter_series(m: SvarModel, L: int, block: slice, cut: Iterable[int] = ()) -> np.ndarray:
+    """Exact (I - Lambda)^{-1} on lags 0..L, Lambda the edge filters among
+    ``m.processes[block]`` without the edges into the block positions ``cut``.
+
+    With phi the block's Phi, columns of processes that receive no edge zeroed,
+    column j of Lambda is phi's off-diagonal column over d_j = 1 - a_j(z), so
+    (I - Lambda)^{-1} = diag(d) Psi with Psi = (I - phi(z))^{-1}, which decays
+    under the companion certificate even where Lambda itself grows.
     """
-    n = lam.rows
-    total = FiniteFilter.unit(n).truncate(0, L)
-    power = FiniteFilter.unit(n)
-    norms: list[float] = []
-    k_hard = max(k_max, n * (L + 1) + 2)
-    for k in range(1, k_hard + 1):
-        power = convolve(power, lam).truncate(0, L)
-        norm = power.l1_norm()
-        if norm < tail_tol:
-            if norms and norms[-1] > 10.0 * max(norms[0], 1.0):
-                raise NonConvergentError(
-                    f"filter powers grew to l1 norm {norms[-1]:.3g} before leaving "
-                    f"the lag window; loop gain is likely >= 1 (or increase L)"
-                )
-            return total
-        total = FiniteFilter(start=0, values=total.values + power.values)
-        norms.append(norm)
-        if k == k_max and norms[-1] >= 0.999 * min(norms):
-            raise NonConvergentError(
-                f"filter powers not decaying after {k_max} iterations "
-                f"(last l1 norm {norm:.3g}); loop gain is likely >= 1"
-            )
-    raise NonConvergentError(
-        f"filter power series did not reach tail tolerance {tail_tol:g} "
-        f"within {k_hard} iterations"
-    )
+    _check_horizon(L)
+    fed = m._edge_mask[block, block].any(axis=0)
+    fed[list(cut)] = False
+    phi = m.Phi[:, block, block] * fed
+    _certify(phi[0], "lag-0 loops have spectral radius")
+    _certify(phi_companion(phi), "filter series not summable: companion radius")
+    k, p = len(fed), len(phi) - 1
+    inv0 = np.linalg.inv(np.eye(k) - phi[0])
+    psi = np.zeros((L + 1, k, k))
+    psi[0] = np.eye(k)
+    for s in range(L + 1):  # Psi_s (I - phi_0) = delta_s I + sum_{t>=1} Psi_{s-t} phi_t
+        psi[s] = (psi[s] + sum(psi[s - t] @ phi[t] for t in range(1, min(s, p) + 1))) @ inv0
+    g = psi.copy()
+    autos = np.diagonal(phi, axis1=1, axis2=2)  # a_j(t); zero for unfed j
+    for t in range(1, min(L, p) + 1):
+        g[t:] -= autos[t][:, None] * psi[: L + 1 - t]
+    return g
 
 
-def default_k_max(m: SvarModel) -> int:
-    return 10 * max(m.n_processes, 1) * (m.order + 1)
-
-
-def lambda_infinity(
-    m: SvarModel, L: int = 128, tail_tol: float = 1e-10, k_max: int | None = None
-) -> FiniteFilter:
-    """Truncated geometric series sum_k Lambda^k over the observed processes."""
-    lam = lambda_matrix(m, L)
-    return _power_series(lam, L, tail_tol, k_max or default_k_max(m))
+def lambda_infinity(m: SvarModel, L: int = 128) -> FiniteFilter:
+    """Filter series sum_k Lambda^k over the observed processes, on lags 0..L."""
+    return FiniteFilter(start=0, values=_filter_series(m, L, slice(None, m.n_observed)))
 
 
 def ccf(
-    m: SvarModel,
-    x: str,
-    y: str,
-    controls: Iterable[str] = (),
-    L: int = 128,
-    tail_tol: float = 1e-10,
-    k_max: int | None = None,
+    m: SvarModel, x: str, y: str, controls: Iterable[str] = (), L: int = 128
 ) -> FiniteFilter:
     """Controlled causal effect filter of x on y.
 
@@ -268,15 +272,8 @@ def ccf(
         raise SemanticError("target cannot be controlled")
     if not controls <= set(m.observed):
         raise SemanticError("controls must be observed processes")
-    blocked = controls | {x}
-
-    lam = lambda_matrix(m, L)
-    values = lam.values.copy()
-    for name in blocked:
-        values[:, :, m.observed.index(name)] = 0.0
-    series = _power_series(
-        FiniteFilter(start=0, values=values), L, tail_tol, k_max or default_k_max(m)
-    )
+    cut = [m.observed.index(name) for name in controls | {x}]
+    series = FiniteFilter(start=0, values=_filter_series(m, L, slice(None, m.n_observed), cut))
     return series.entry(m.observed.index(x), m.observed.index(y))
 
 
@@ -347,22 +344,20 @@ def _internal_acs(m: SvarModel, block: slice, L: int) -> FiniteFilter:
     return out
 
 
-def projected_noise_acs(
-    m: SvarModel, L: int = 128, tail_tol: float = 1e-10, k_max: int | None = None
-) -> FiniteFilter:
+def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
     """Covariance filter of the observed noise block: internal dynamics plus
     the direct latent contributions.  Off-diagonal entries are exactly the
-    latent confounding captured by bidirected edges of the latent projection."""
-    k_max = k_max or default_k_max(m)
+    latent confounding captured by bidirected edges of the latent projection;
+    they exist only when every process's internal dynamics 1 - a_j(z) are stable."""
+    own = m.Phi * np.eye(m.n_processes)  # the auto-dependencies alone
+    _certify(phi_companion(own), "internal dynamics not stable: companion radius")
     n = m.n_observed
     out = _internal_acs(m, slice(None, n), L)
     if m.latents:
-        edges = _edge_filters(m, L)
-        gamma = FiniteFilter(start=0, values=edges[:, n:, :n])
+        gamma = FiniteFilter(start=0, values=_edge_filters(m, L)[:, n:, :n])
         c_lat = _internal_acs(m, slice(n, None), L)
         if m._edge_mask[n:, n:].any():  # latents driving each other
-            lam_l = FiniteFilter(start=0, values=edges[:, n:, n:])
-            lam_inf = _power_series(lam_l, L, tail_tol, k_max)
+            lam_inf = FiniteFilter(start=0, values=_filter_series(m, L, slice(n, None)))
             c_lat = convolve(lam_inf.transpose(), tilted_convolve(c_lat, lam_inf))
         latent_part = convolve(gamma.transpose(), tilted_convolve(c_lat, gamma))
         merged = FiniteFilter.zeros(
@@ -378,21 +373,15 @@ def projected_noise_acs(
     return out
 
 
-def acs_via_sep(
-    m: SvarModel,
-    L_acs: int = 64,
-    L_filter: int = 128,
-    tail_tol: float = 1e-10,
-    k_max: int | None = None,
-) -> AcsSequence:
+def acs_via_sep(m: SvarModel, L_acs: int = 64, L_filter: int = 128) -> AcsSequence:
     """Observed auto-covariance sequence through the process-level equation.
 
     Composes the filter series with the projected noise covariance:
     C = (Lambda_inf)^T * C_noise ^* Lambda_inf.
     """
-    k_max = k_max or default_k_max(m)
-    lam_inf = lambda_infinity(m, L_filter, tail_tol, k_max)
-    c_li = projected_noise_acs(m, L_filter, tail_tol, k_max)
+    _check_horizon(L_acs)
+    lam_inf = lambda_infinity(m, L_filter)
+    c_li = projected_noise_acs(m, L_filter)
     composite = convolve(lam_inf.transpose(), tilted_convolve(c_li, lam_inf))
     return _two_sided_to_acs(m.observed, composite, L_acs)
 
@@ -403,11 +392,10 @@ def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsS
     Independent oracle: expands the full reduced-form VAR (observed and latent
     processes together) into its MA filter and sums the quadratic form.
     """
-    report = check_stability(m, grid_size=64)
-    if not report.stable and m.order > 0:
-        raise NonConvergentError(
-            f"companion spectral radius {report.companion_spectral_radius:.6f} >= 1"
-        )
+    _check_horizon(L_acs)
+    if L_psi < L_acs:
+        raise SemanticError(f"MA horizon {L_psi} is shorter than the ACS horizon {L_acs}")
+    _certify(companion_matrix(m), "companion spectral radius")
     n = m.n_processes
     b = contemporaneous_solve_matrix(m)
     w_prime = b @ np.diag([m.noise_var[name] for name in m.processes]) @ b.T

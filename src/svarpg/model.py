@@ -26,6 +26,8 @@ import numpy as np
 from .errors import SchemaError, SemanticError, SingularContemporaneousError
 
 _COND_LIMIT = 1e12
+STABLE_RADIUS = 1.0 - 1e-9  # companion spectral radii below this certify stability
+_DET_CHUNK_BYTES = 1 << 18  # bound on one batch of characteristic-polynomial matrices
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,8 @@ class StabilityReport:
     companion spectral radius; the sampled characteristic-polynomial margin
     is a redundant cross-check.  Loop gains are computed against a frequency
     grid by the spectral module and attached with :meth:`with_loop_gains`;
-    they are the practical convergence test for cyclic graphs when the grand
-    sum fails.
+    they are diagnostics only, since loops that share a vertex compound (the
+    filter series decides convergence by its own certificate).
     """
 
     per_process_auto_sum: Mapping[str, float]
@@ -288,7 +290,11 @@ def contemporaneous_solve_matrix(m: SvarModel) -> np.ndarray:
 
     Raises SingularContemporaneousError when the system is numerically singular.
     """
-    a = np.eye(m.n_processes) - m.phi_matrix(0).T
+    return _solve_matrix(m.Phi[0])
+
+
+def _solve_matrix(phi0: np.ndarray) -> np.ndarray:
+    a = np.eye(len(phi0)) - phi0.T
     if np.linalg.cond(a) > _COND_LIMIT:
         raise SingularContemporaneousError(
             "I - Phi(0)^T is numerically singular; contemporaneous structure unsolvable"
@@ -298,18 +304,27 @@ def contemporaneous_solve_matrix(m: SvarModel) -> np.ndarray:
 
 def reduced_lag_matrices(m: SvarModel) -> np.ndarray:
     """Reduced-form VAR coefficient stack A with A[k] = (I - Phi(0)^T)^{-1} Phi(k)^T."""
-    stack = np.zeros(m.Phi.shape)
-    stack[1:] = contemporaneous_solve_matrix(m) @ m.Phi[1:].transpose(0, 2, 1)
+    return _reduced_lags(m.Phi)
+
+
+def _reduced_lags(phi: np.ndarray) -> np.ndarray:
+    stack = np.zeros(phi.shape)
+    stack[1:] = _solve_matrix(phi[0]) @ phi[1:].transpose(0, 2, 1)
     return stack
 
 
 def companion_matrix(m: SvarModel) -> np.ndarray:
     """Companion form of the reduced VAR(1) stacking; an n x n zero block for order 0."""
-    n = m.n_processes
-    p = max(m.order, 1)
-    a = reduced_lag_matrices(m)
+    return phi_companion(m.Phi)
+
+
+def phi_companion(phi: np.ndarray) -> np.ndarray:
+    """Companion matrix of the VAR with coefficient stack ``phi`` (shaped like ``Phi``)."""
+    order, n = len(phi) - 1, phi.shape[1]
+    p = max(order, 1)
+    a = _reduced_lags(phi)
     comp = np.zeros((n * p, n * p))
-    comp[:n, : n * m.order] = a[1:].transpose(1, 0, 2).reshape(n, n * m.order)
+    comp[:n, : n * order] = a[1:].transpose(1, 0, 2).reshape(n, n * order)
     comp[n:, : n * (p - 1)] = np.eye(n * (p - 1))
     return comp
 
@@ -327,24 +342,22 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     per_process_ok = all(s < 1.0 for s in auto_sums.values())
     global_ok = float(np.abs(m.Phi).sum()) < 1.0
 
-    a = reduced_lag_matrices(m)
-    n = m.n_processes
-    eye = np.eye(n)
-
-    margin = math.inf
-    angles = 2.0 * np.pi * np.arange(max(grid_size, 1)) / max(grid_size, 1)
-    for radius in (0.25, 0.5, 0.75, 1.0):
-        for z in radius * np.exp(1j * angles):
-            poly = eye.astype(complex).copy()
-            for k in range(1, m.order + 1):
-                poly -= (z**k) * a[k]
-            margin = min(margin, abs(np.linalg.det(poly)))
     if m.order == 0:
         margin = 1.0
-
-    if m.order == 0:
         radius_val = 0.0
     else:
+        a = reduced_lag_matrices(m)
+        angles = 2.0 * np.pi * np.arange(max(grid_size, 1)) / max(grid_size, 1)
+        z = (np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * angles)).ravel()
+        eye = np.eye(m.n_processes, dtype=complex)
+        chunk = max(1, _DET_CHUNK_BYTES // eye.nbytes)
+        margin = math.inf
+        for c0 in range(0, len(z), chunk):
+            zc = z[c0 : c0 + chunk, None, None]
+            poly = np.repeat(eye[None], len(zc), axis=0)
+            for k in range(1, m.order + 1):
+                poly -= zc**k * a[k]
+            margin = min(margin, float(np.abs(np.linalg.det(poly)).min()))
         radius_val = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(m)))))
 
     return StabilityReport(
@@ -353,7 +366,7 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
         grand_sum_below_one=global_ok,
         char_poly_min_modulus_margin=float(margin),
         companion_spectral_radius=radius_val,
-        stable=radius_val < 1.0 - 1e-9,
+        stable=radius_val < STABLE_RADIUS,
     )
 
 

@@ -127,6 +127,53 @@ def test_ccf_csv(capsys):
     assert values[:4] == pytest.approx([0.0, 0.0, 0.09, 0.09])
 
 
+def test_acs_negative_lags_exit_2(capsys):
+    code, _, err = _run(capsys, "acs", GRAPH_C, "--lags", "-2")
+    assert code == 2
+    assert json.loads(err)["error"] == "SemanticError"
+
+
+def test_ccf_through_compounding_loops_exits_0(tmp_path, capsys):
+    # A <-> B and A <-> C at gain 0.6006: the series through A diverges, but
+    # ccf(B, C) cuts the edges into B and converges to 0.6006 / (1 - 0.6006)
+    c = 0.6006**0.5
+    doc = {
+        "observed": ["A", "B", "C"],
+        "order": 0,
+        "edges": [
+            {"from": src, "to": dst, "lag": 0, "coeff": c}
+            for src, dst in (("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"))
+        ],
+        "noise_var": {"A": 1.0, "B": 1.0, "C": 1.0},
+    }
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "ccf", str(path), "--from", "B", "--to", "C", "--lags", "64")
+    assert code == 0
+    values = [float(line.split(",")[3]) for line in out.strip().splitlines()[1:]]
+    assert sum(values) == pytest.approx(0.6006 / (1.0 - 0.6006), rel=1e-12)
+
+
+def test_acs_with_explosive_internal_dynamics_exits_2(tmp_path, capsys):
+    # a stable VAR whose process X has explosive own dynamics 1 - 1.5 z: the
+    # noise covariance of the process-level equation does not exist
+    doc = {
+        "observed": ["X", "Y"],
+        "order": 1,
+        "edges": [
+            {"from": "X", "to": "X", "lag": 1, "coeff": 1.5},
+            {"from": "X", "to": "Y", "lag": 1, "coeff": 0.75},
+            {"from": "Y", "to": "X", "lag": 1, "coeff": -0.75},
+        ],
+        "noise_var": {"X": 1.0, "Y": 1.0},
+    }
+    path = tmp_path / "explosive.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "acs", str(path), "--lags", "8")
+    assert code == 2
+    assert json.loads(err)["error"] == "NonConvergentError"
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys, graph_a):
     series = tmp_path / "series.csv"
     code, _, _ = _run(

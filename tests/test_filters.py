@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from conftest import ar1
-from svarpg.errors import DimensionMismatchError, NonConvergentError, SelfPairError
+from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
+from svarpg.errors import DimensionMismatchError, NonConvergentError, SelfPairError, SemanticError
 from svarpg.filters import (
     FiniteFilter,
     acs_via_ma_infinity,
@@ -19,9 +22,9 @@ from svarpg.filters import (
     tilted_convolve,
     trek_monomial_filter,
 )
-from svarpg.graph import enumerate_paths, enumerate_treks, latent_projection
-from svarpg.model import SvarModel, process_graph
-from svarpg.spectral import edge_transfer
+from svarpg.graph import enumerate_paths, enumerate_treks, latent_projection, unrolled_paths
+from svarpg.model import SvarModel, load_model, phi_companion, process_graph
+from svarpg.spectral import cctf, edge_transfer, fourier
 
 
 def scalar(seq, start=0):
@@ -151,7 +154,7 @@ def test_lambda_infinity_chain_entry(graph_a):
 
 def test_lambda_infinity_matches_path_sum(graph_c):
     # partial path sums converge to the series entry as cycle depth grows
-    inf = lambda_infinity(graph_c, 48, tail_tol=1e-14)
+    inf = lambda_infinity(graph_c, 48)
     g = process_graph(graph_c)
     i, j = graph_c.observed.index("Z"), graph_c.observed.index("Y")
     deviations = []
@@ -201,6 +204,168 @@ def test_power_norm_decays_for_globally_small_models():
         power = convolve(power, lam).truncate(0, 64)
     ratios = np.array(norms[3:]) / np.array(norms[2:-1])
     assert (ratios < 1.0).all()
+
+
+def shared_vertex_loops() -> SvarModel:
+    """Order 0, A <-> B and A <-> C loops of gain 0.6006 each: every loop alone
+    is below one, but together rho(Lambda_0) = sqrt(2 * 0.6006) = 1.096."""
+    c = math.sqrt(0.6006)
+    return SvarModel(
+        observed=("A", "B", "C"),
+        latents=(),
+        order=0,
+        coeffs={("A", "B", 0): c, ("B", "A", 0): c, ("A", "C", 0): c, ("C", "A", 0): c},
+        noise_var={"A": 1.0, "B": 1.0, "C": 1.0},
+    )
+
+
+def test_lambda_infinity_rejects_compounding_lag0_loops():
+    with pytest.raises(NonConvergentError, match=r"radius 1\.096"):
+        lambda_infinity(shared_vertex_loops(), 16)
+
+
+def test_ccf_converges_once_the_shared_loop_is_cut():
+    # cutting the edges into B leaves B -> A -> (C -> A)^k -> C, which sums to
+    # 0.6006 / (1 - 0.6006) at lag 0
+    m = shared_vertex_loops()
+    eff = ccf(m, "B", "C", L=64)
+    at_zero = cctf(m, "B", "C", (), np.zeros(1)).scalar_values()[0]
+    assert at_zero.real == pytest.approx(0.6006 / (1.0 - 0.6006), rel=1e-12)
+    assert eff.scalar_values().sum() == pytest.approx(at_zero.real, rel=1e-12)
+    assert np.all(eff.scalar_values()[1:] == 0.0)
+
+
+def test_ccf_ignores_the_dynamics_of_the_cut_cause():
+    # X is explosive through its own lag and the Y -> X feedback, so the model
+    # is not stationary; ccf cuts every edge into X, and what remains runs
+    # only through Y's stable dynamics
+    m = SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.0, ("X", "Y", 1): 0.5, ("Y", "Y", 1): 0.5, ("Y", "X", 1): 0.3},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+    expected = [0.0] + [0.5**s for s in range(1, 33)]
+    np.testing.assert_allclose(ccf(m, "X", "Y", L=32).scalar_values(), expected, rtol=1e-15)
+    with pytest.raises(NonConvergentError):
+        lambda_infinity(m, 32)
+
+
+def explosive_target() -> SvarModel:
+    """X -> X 1.5, X -> Y 0.75 and Y -> X -0.75, all at lag 1: the VAR is
+    stable (companion eigenvalues 0.75, 0.75), but X's own dynamics 1 - 1.5 z
+    are explosive, so the edge filter Y -> X grows like 1.5^s."""
+    return SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.5, ("X", "Y", 1): 0.75, ("Y", "X", 1): -0.75},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+
+
+def test_lambda_infinity_is_exact_when_a_fed_process_is_explosive():
+    m = explosive_target()
+    inf = lambda_infinity(m, 128)
+    # short lags: the power series of the edge filters (Lambda_0 = 0, so
+    # Lambda^k starts at lag k and eight powers reach lag 8)
+    lam = lambda_matrix(m, 8)
+    power, series = FiniteFilter.unit(2), np.zeros((9, 2, 2))
+    series[0] = np.eye(2)
+    for _ in range(8):
+        power = convolve(power, lam).truncate(0, 8)
+        series = series + power.values
+    assert np.abs(inf.values[:9] - series).max() <= 1e-12
+    # the whole horizon: the series is the expansion of (I - Lambda(omega))^{-1}
+    omegas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    lam_w = np.zeros((len(omegas), 2, 2), dtype=complex)
+    lam_w[:, 0, 1] = edge_transfer(m, "X", "Y").evaluate(omegas)
+    lam_w[:, 1, 0] = edge_transfer(m, "Y", "X").evaluate(omegas)
+    exact = np.linalg.inv(np.eye(2) - lam_w)
+    assert np.abs(fourier(inf, omegas).values - exact).max() <= 1e-12
+    assert np.abs(inf.values[-1]).max() <= 1e-12
+
+
+def test_noise_covariance_needs_stable_internal_dynamics():
+    m = explosive_target()
+    with pytest.raises(NonConvergentError, match="internal dynamics"):
+        projected_noise_acs(m, 16)
+    with pytest.raises(NonConvergentError, match="internal dynamics"):
+        acs_via_sep(m, 8, 128)
+    with pytest.raises(NonConvergentError, match="companion radius 1.5"):
+        ccf(m, "Y", "X", L=32)  # the edge filter Y -> X itself
+
+
+ORACLE_MODELS = [
+    "graph_a",
+    "graph_b",
+    "graph_c",
+    "instrument",
+    "confounded_mediator",
+    "feedback_mediator",
+    "cyclic_latent",
+]
+
+
+def _oracle_model(name):
+    if name == "cyclic_latent":
+        return random_model(
+            np.random.default_rng(11),
+            ("A", "B", "C"),
+            ("L1", "L2"),
+            CYCLIC_LATENT_EDGES,
+            contemporaneous=True,
+        )
+    return load_model(FIXTURES / f"{name}.json")
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_ccf_matches_unrolled_paths_and_cctf(name):
+    m = _oracle_model(name)
+    n, L = m.n_observed, 512
+    omegas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for x, y in itertools.permutations(m.observed, 2):
+        for controls in [()] + [(z,) for z in m.observed if z not in (x, y)]:
+            eff = ccf(m, x, y, controls, L)
+            for s in range(7):
+                oracle = unrolled_paths(m, x, y, controls, s)
+                assert abs(eff.scalar_at(s) - oracle) <= 1e-12, (x, y, controls, s)
+            # the series beyond L decays like r^s, r the certified companion radius
+            phi = m.Phi[:, :n, :n].copy()
+            phi[:, :, [m.observed.index(v) for v in (x, *controls)]] = 0.0
+            r = float(np.abs(np.linalg.eigvals(phi_companion(phi))).max())
+            tol = 1e-12 + 50.0 * L * r**L / (1.0 - r) ** 2
+            exact = cctf(m, x, y, controls, omegas).scalar_values()
+            deviation = np.abs(fourier(eff, omegas).scalar_values() - exact).max()
+            assert deviation <= tol, (x, y, controls)
+
+
+def test_acs_via_sep_is_exact_through_feedback(feedback_mediator):
+    sep = acs_via_sep(feedback_mediator, 64, 128)
+    ma = acs_via_ma_infinity(feedback_mediator, 64, 1024)
+    assert np.abs(sep.values - ma.values).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: direct_effect_filter(m, "X", "Y", -2),
+        lambda m: internal_dynamics_filter(m, "X", -1),
+        lambda m: lambda_matrix(m, -1),
+        lambda m: lambda_infinity(m, -3),
+        lambda m: ccf(m, "X", "Y", (), -1),
+        lambda m: projected_noise_acs(m, -1),
+        lambda m: acs_via_sep(m, -2, 16),
+        lambda m: acs_via_sep(m, 4, -1),
+        lambda m: acs_via_ma_infinity(m, -1, 16),
+        lambda m: acs_via_ma_infinity(m, 4, -1),
+        lambda m: acs_via_ma_infinity(m, 20, 8),
+    ],
+)
+def test_bad_lag_horizons_are_semantic_errors(graph_c, call):
+    with pytest.raises(SemanticError):
+        call(graph_c)
 
 
 # -- controlled effect filters --------------------------------------------------

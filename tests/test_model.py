@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from conftest import ar1
+from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
 from svarpg.errors import SchemaError, SemanticError
-from svarpg.model import check_stability, parse_model, process_graph
+from svarpg.model import (
+    check_stability,
+    load_model,
+    parse_model,
+    process_graph,
+    reduced_lag_matrices,
+)
 
 
 GRAPH_A_DOC = {
@@ -94,6 +101,36 @@ def test_stability_graph_c(graph_c):
     assert not rep.grand_sum_below_one
     assert rep.stable
     assert rep.char_poly_min_modulus_margin > 0.0
+
+
+def _margin_loop(m, grid_size):
+    """Reference: one determinant per radius and grid point."""
+    a = reduced_lag_matrices(m)
+    margin = np.inf
+    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    for radius in (0.25, 0.5, 0.75, 1.0):
+        for z in radius * np.exp(1j * angles):
+            poly = np.eye(m.n_processes, dtype=complex)
+            for k in range(1, m.order + 1):
+                poly -= (z**k) * a[k]
+            margin = min(margin, abs(np.linalg.det(poly)))
+    return margin
+
+
+def test_char_poly_margin_matches_determinant_loop():
+    rng = np.random.default_rng(23)
+    models = [load_model(path) for path in sorted(FIXTURES.glob("*.json"))]
+    models += [
+        random_model(
+            rng, ("A", "B", "C"), ("L1", "L2"), CYCLIC_LATENT_EDGES, order=3, contemporaneous=True
+        )
+        for _ in range(5)
+    ]
+    for m in models:
+        for grid_size in (1, 7, 64):
+            expected = _margin_loop(m, grid_size)
+            margin = check_stability(m, grid_size).char_poly_min_modulus_margin
+            assert margin == pytest.approx(expected, rel=4 * np.finfo(float).eps)
 
 
 def test_stability_ar1():
