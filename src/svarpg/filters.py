@@ -1,19 +1,21 @@
 """Time-domain representation: exact filter algebra and covariance sequences.
 
-Filters are finitely supported Z-indexed matrix sequences.  Causal filters
-start at lag 0; tilted convolutions produce two-sided supports.  The filter
-series (I - Lambda)^{-1} = sum_k Lambda^k of a block of processes is computed
-exactly on lags 0..L from the finite order-p recursion of (I - Phi(z))^{-1},
-and only with a convergence certificate: rho(Lambda_0) < 1 (every lag is a
-convergent path sum) and a companion spectral radius below one for the
-block's coefficients (the series is summable and agrees with the transfer
-functions).  Noise covariances also need stable internal dynamics.
-Covariance sequences are truncated at an explicit lag horizon with a
-reported tail estimate.
+Filters are finitely supported Z-indexed matrix sequences; tilted
+convolutions produce two-sided supports.  Convolutions run for all lags at
+once (zero-padded real FFTs along the lag axis, one batched matmul): errors
+are a few eps * log2(length) times the operands' lag-l1 norms, so small
+entries lose relative accuracy, while an entry that pairs only all-zero
+series stays exactly 0.  The filter series (I - Lambda)^{-1} of a block is
+exact on lags 0..L (finite order-p recursion of (I - Phi(z))^{-1}) behind a
+certificate: rho(Lambda_0) < 1 and a block companion radius below one.  Noise
+covariances also need stable internal dynamics.  The MA(infinity) covariance
+is the companion Lyapunov solution (Smith's doubling, run to convergence).
+Covariance sequences stop at an explicit lag horizon with a tail estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,8 +34,9 @@ from .model import (
     companion_matrix,
     contemporaneous_solve_matrix,
     phi_companion,
-    reduced_lag_matrices,
 )
+
+_LYAPUNOV_EPS = 1e-16  # doubling stops once an increment is below this share of max|Gamma_0|
 
 
 @dataclass(frozen=True)
@@ -121,29 +124,24 @@ class FiniteFilter:
         return self.values.sum(axis=0)
 
 
+def _lag_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[u] = sum_t x[t] @ y[u - t] over the first axis, all lags at once."""
+    if x.shape[-1] != y.shape[-2]:
+        raise DimensionMismatchError(f"inner dimensions differ: {x.shape[1:]} and {y.shape[1:]}")
+    size = len(x) + len(y) - 1
+    fx = np.fft.rfft(x, size, axis=0)
+    fy = np.fft.rfft(y, size, axis=0)
+    return np.fft.irfft(fx @ fy, size, axis=0)
+
+
 def convolve(a: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
     """(a * b)(u) = sum_t a(t) b(u - t)."""
-    if a.cols != b.rows:
-        raise DimensionMismatchError(
-            f"inner dimensions differ: {a.rows}x{a.cols} * {b.rows}x{b.cols}"
-        )
-    out = np.zeros((a.n_lags + b.n_lags - 1, a.rows, b.cols))
-    for i in range(a.n_lags):
-        out[i : i + b.n_lags] += np.einsum("rn,tnc->trc", a.values[i], b.values)
-    return FiniteFilter(start=a.start + b.start, values=out)
+    return FiniteFilter(start=a.start + b.start, values=_lag_convolve(a.values, b.values))
 
 
 def tilted_convolve(a: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
     """(a ^* b)(v) = sum_t a(t + v) b(t); support runs both ways."""
-    if a.cols != b.rows:
-        raise DimensionMismatchError(
-            f"inner dimensions differ: {a.rows}x{a.cols} ^* {b.rows}x{b.cols}"
-        )
-    out = np.zeros((a.n_lags + b.n_lags - 1, a.rows, b.cols))
-    for t_idx in range(b.n_lags):
-        shift = b.n_lags - 1 - t_idx
-        out[shift : shift + a.n_lags] += np.einsum("tan,nc->tac", a.values, b.values[t_idx])
-    return FiniteFilter(start=a.start - b.end, values=out)
+    return FiniteFilter(start=a.start - b.end, values=_lag_convolve(a.values, b.values[::-1]))
 
 
 def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
@@ -216,11 +214,12 @@ def lambda_matrix(m: SvarModel, L: int) -> FiniteFilter:
     return FiniteFilter(start=0, values=_edge_filters(m, L)[:, :n, :n])
 
 
-def _certify(a: np.ndarray, what: str) -> None:
-    """Raise NonConvergentError unless the spectral radius of ``a`` is below STABLE_RADIUS."""
+def _certify(a: np.ndarray, what: str) -> float:
+    """Spectral radius of ``a``; NonConvergentError unless it is below STABLE_RADIUS."""
     rho = float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
     if rho >= STABLE_RADIUS:
         raise NonConvergentError(f"{what} {rho:.4g} >= 1")
+    return rho
 
 
 def _filter_series(m: SvarModel, L: int, block: slice, cut: Iterable[int] = ()) -> np.ndarray:
@@ -313,20 +312,17 @@ class AcsSequence:
 def _two_sided_to_acs(
     labels: tuple[str, ...], composite: FiniteFilter, L_acs: int
 ) -> AcsSequence:
-    values = np.stack([composite.at(tau) for tau in range(L_acs + 1)])
+    values = composite.truncate(0, L_acs).values
     # weight the composite carries beyond the horizon, plus a geometric
-    # extrapolation for what the finite filter supports themselves cut off
-    beyond = 0.0
-    mags = []
-    for tau in range(composite.start, composite.end + 1):
-        mag = float(np.abs(composite.at(tau)).max())
-        if abs(tau) > L_acs:
-            beyond += mag
-        mags.append((abs(tau), mag))
-    edge_mags = sorted(mags)[-8:]
-    last = max(m for _, m in edge_mags) if edge_mags else 0.0
+    # extrapolation for what the finite filter supports themselves cut off;
+    # the sum runs in lag order and the last value is the largest of the 8
+    # largest (|tau|, mag) pairs
+    taus = np.abs(np.arange(composite.start, composite.end + 1))
+    mags = np.abs(composite.values).max(axis=(1, 2))
+    beyond = np.cumsum(np.r_[0.0, mags[taus > L_acs]])[-1]
+    last = mags[np.lexsort((mags, taus))[-8:]].max()
     ratio = 0.9
-    tail = beyond + last * ratio / (1.0 - ratio)
+    tail = float(beyond + last * ratio / (1.0 - ratio))
     return AcsSequence(labels=labels, values=values, tail_bound=tail)
 
 
@@ -335,9 +331,7 @@ def _internal_acs(m: SvarModel, block: slice, L: int) -> FiniteFilter:
     ``m.processes[block]``."""
     f = _lag_recursion(np.diagonal(m.Phi, axis1=1, axis2=2)[:, block], _impulse(m), L)
     k = f.shape[1]
-    auto = np.zeros((2 * L + 1, k))
-    for t in range(L + 1):  # tilted self-convolution, in tilted_convolve's order
-        auto[L - t : 2 * L + 1 - t] += f * f[t]
+    auto = _lag_convolve(f[..., None, None], f[::-1, :, None, None])[..., 0, 0]
     noise = np.array([m.noise_var[name] for name in m.processes[block]])
     out = FiniteFilter.zeros(2 * L + 1, k, k, start=-L)
     out.values[:, np.arange(k), np.arange(k)] = noise * auto
@@ -389,39 +383,45 @@ def acs_via_sep(m: SvarModel, L_acs: int = 64, L_filter: int = 128) -> AcsSequen
 def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsSequence:
     """Observed auto-covariance sequence through the moving-average expansion.
 
-    Independent oracle: expands the full reduced-form VAR (observed and latent
-    processes together) into its MA filter and sums the quadratic form.
+    Independent oracle on the full reduced-form VAR (observed and latent
+    together): Gamma_0 = C Gamma_0 C^T + Q on the companion matrix C, Q = b W b^T
+    in the top block, by Smith's doubling to convergence (steps capped from the
+    certified radius, NonConvergentError at the cap), then Gamma(tau) = C
+    Gamma(tau - 1).  ``tail_bound`` is the last doubling increment.  ``L_psi``
+    no longer changes the value; it stays, with its checks, for positional callers.
     """
     _check_horizon(L_acs)
     if L_psi < L_acs:
         raise SemanticError(f"MA horizon {L_psi} is shorter than the ACS horizon {L_acs}")
-    _certify(companion_matrix(m), "companion spectral radius")
-    n = m.n_processes
+    comp = companion_matrix(m)
+    rho = _certify(comp, "companion spectral radius")
+    n, k = m.n_processes, len(comp)
     b = contemporaneous_solve_matrix(m)
-    w_prime = b @ np.diag([m.noise_var[name] for name in m.processes]) @ b.T
+    gamma = np.zeros((k, k))
+    gamma[:n, :n] = b @ np.diag([m.noise_var[name] for name in m.processes]) @ b.T
 
-    a = reduced_lag_matrices(m)  # A[k] = (I - Phi0^T)^{-1} Phi(k)^T
-    phi_prime = a.transpose(0, 2, 1)  # Phi(k) (I - Phi(0))^{-1}
-
-    psi = np.zeros((L_psi + 1, n, n))
-    psi[0] = np.eye(n)
-    for k in range(1, L_psi + 1):
-        acc = np.zeros((n, n))
-        for l in range(1, min(k, m.order) + 1):
-            acc += psi[k - l] @ phi_prime[l]
-        psi[k] = acc
-
-    weighted = np.einsum("ij,kjl->kil", w_prime, psi)
-    values = np.zeros((L_acs + 1, n, n))
-    for tau in range(L_acs + 1):
-        count = L_psi + 1 - tau
-        values[tau] = np.einsum("kij,kil->jl", psi[tau : tau + count], weighted[:count])
+    # after j steps gamma sums C^t Q C^tT over t < 2^j and power is C^(2^j),
+    # of size rho^(2^j) once past the transient of a non-normal C (k steps at
+    # most if C is nilpotent); four spare steps square that residual further
+    horizon = max(k, math.log(_LYAPUNOV_EPS) / math.log(rho)) if rho > 0.0 else k
+    power = comp
+    for _ in range(math.ceil(math.log2(horizon)) + 4):
+        increment = power @ gamma @ power.T
+        gamma += increment
+        power = power @ power
+        tail = float(np.abs(increment).max())
+        if tail <= _LYAPUNOV_EPS * np.abs(gamma).max():
+            break
+    else:
+        raise NonConvergentError(f"Lyapunov doubling stalled at companion radius {rho:.4g}")
 
     n_obs = m.n_observed
-    tail = float(np.sqrt((psi[-1] ** 2).sum()))
-    return AcsSequence(
-        labels=m.observed, values=values[:, :n_obs, :n_obs], tail_bound=tail
-    )
+    values = np.empty((L_acs + 1, n_obs, n_obs))
+    cols = gamma[:, :n_obs]  # C^tau Gamma_0 on the observed columns; top rows Gamma(tau)
+    for tau in range(L_acs + 1):
+        values[tau] = cols[:n_obs]
+        cols = comp @ cols
+    return AcsSequence(labels=m.observed, values=values, tail_bound=tail)
 
 
 def trek_monomial_filter(m: SvarModel, trek: Trek, L: int = 128) -> FiniteFilter:

@@ -71,13 +71,12 @@ class SpectralEstimate:
 def _innovations(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
     if not 0 <= seed < 2**64:
         raise SemanticError("seed must be in [0, 2^64)")
-    out = np.empty((n_steps, m.n_processes))
+    out = np.empty((m.n_processes, n_steps))
     for idx, name in enumerate(m.processes):
         bits = np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
         rng = np.random.Generator(bits)
-        scale = np.sqrt(m.noise_var[name])
-        out[:, idx] = scale * rng.standard_normal(n_steps)
-    return out
+        out[idx] = np.sqrt(m.noise_var[name]) * rng.standard_normal(n_steps)
+    return out.T
 
 
 def _blocked_recursion(comp: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -111,8 +110,9 @@ def simulate(m: SvarModel, T: int, seed: int = 0, burn_in: int = 1024) -> Trajec
         raise SemanticError("burn_in must be nonnegative")
     n_steps = T + burn_in
 
-    solve0 = contemporaneous_solve_matrix(m)  # (I - Phi(0)^T)^{-1}
-    eta = _innovations(m, n_steps, seed) @ solve0.T
+    eta = _innovations(m, n_steps, seed)
+    if m.Phi[0].any():  # otherwise the solve matrix (I - Phi(0)^T)^{-1} is exactly I
+        eta = eta @ contemporaneous_solve_matrix(m).T
 
     if m.order == 0:
         values = eta

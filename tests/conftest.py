@@ -9,6 +9,15 @@ from svarpg.model import SvarModel, check_stability, load_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+FIXTURE_NAMES = (
+    "graph_a",
+    "graph_b",
+    "graph_c",
+    "instrument",
+    "confounded_mediator",
+    "feedback_mediator",
+)
+
 
 @pytest.fixture(scope="session")
 def graph_a() -> SvarModel:
@@ -47,6 +56,19 @@ def ar1(a: float = 0.7, w: float = 1.0) -> SvarModel:
         order=1,
         coeffs={("U", "U", 1): a},
         noise_var={"U": w},
+    )
+
+
+def explosive_target() -> SvarModel:
+    """X -> X 1.5, X -> Y 0.75 and Y -> X -0.75, all at lag 1: the VAR is
+    stable (companion eigenvalues 0.75, 0.75), but X's own dynamics 1 - 1.5 z
+    are explosive, so the edge filter Y -> X grows like 1.5^s."""
+    return SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.5, ("X", "Y", 1): 0.75, ("Y", "X", 1): -0.75},
+        noise_var={"X": 1.0, "Y": 1.0},
     )
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
+from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, explosive_target, random_model
 from svarpg.errors import DimensionMismatchError, NonConvergentError, SelfPairError, SemanticError
 from svarpg.filters import (
     FiniteFilter,
@@ -250,19 +250,6 @@ def test_ccf_ignores_the_dynamics_of_the_cut_cause():
     np.testing.assert_allclose(ccf(m, "X", "Y", L=32).scalar_values(), expected, rtol=1e-15)
     with pytest.raises(NonConvergentError):
         lambda_infinity(m, 32)
-
-
-def explosive_target() -> SvarModel:
-    """X -> X 1.5, X -> Y 0.75 and Y -> X -0.75, all at lag 1: the VAR is
-    stable (companion eigenvalues 0.75, 0.75), but X's own dynamics 1 - 1.5 z
-    are explosive, so the edge filter Y -> X grows like 1.5^s."""
-    return SvarModel(
-        observed=("X", "Y"),
-        latents=(),
-        order=1,
-        coeffs={("X", "X", 1): 1.5, ("X", "Y", 1): 0.75, ("Y", "X", 1): -0.75},
-        noise_var={"X": 1.0, "Y": 1.0},
-    )
 
 
 def test_lambda_infinity_is_exact_when_a_fed_process_is_explosive():

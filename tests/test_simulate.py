@@ -5,21 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
+from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, ar1, random_model
 from svarpg.errors import ExplosionError, SemanticError, TooShortError
 from svarpg.filters import acs_via_sep
 from svarpg.model import SvarModel, companion_matrix, contemporaneous_solve_matrix, load_model
 from svarpg.simulate import _innovations, simulate, welch_spectrum
 from svarpg.spectral import spectral_density
-
-FIXTURE_NAMES = (
-    "graph_a",
-    "graph_b",
-    "graph_c",
-    "instrument",
-    "confounded_mediator",
-    "feedback_mediator",
-)
 
 
 def _model(name: str) -> SvarModel:
