@@ -50,24 +50,14 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> model.SvarModel:
-    return model.load_model(path)
-
-
 def _cmd_validate(args) -> int:
-    m = _load(args.model)
-    report = model.check_stability(m, grid_size=args.grid)
-    report = report.with_loop_gains(spectral.loop_gain_report(m, args.grid))
-    doc = report.to_document()
-    gains_ok = report.loop_gains_ok
-    ok = report.stable and (gains_ok is None or gains_ok)
-    doc["ok"] = bool(ok)
-    _emit([json.dumps(doc, indent=2)], args.output)
-    return 0 if ok else 2
+    report = model.check_stability(model.load_model(args.model), grid_size=args.grid)
+    _emit([json.dumps(report.to_document(), indent=2)], args.output)
+    return 0 if report.ok else 2
 
 
 def _cmd_paths(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     g = model.process_graph(m)
     avoid = _split(args.avoid)
     found = [
@@ -82,7 +72,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     if args.edge:
         values = spectral.edge_transfer(m, args.source, args.target).evaluate(
             spectral.frequency_grid(args.grid)
@@ -102,7 +92,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     s = spectral.spectral_density(m, args.grid)
     lines = [SPECTRAL_HEADER]
     for i, w in enumerate(s.omegas):
@@ -114,7 +104,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     lines = [SPECTRAL_HEADER]
 
     def factor_rows(dec, quantity_for):
@@ -147,7 +137,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_acs(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     acs = filters.acs_via_sep(m, L_acs=args.lags, L_filter=args.filter_lags)
     lines = ["lag,row,col,value"]
     for tau in range(acs.max_lag + 1):
@@ -159,7 +149,7 @@ def _cmd_acs(args) -> int:
 
 
 def _cmd_ccf(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     eff = filters.ccf(m, args.source, args.target, _split(args.controls), L=args.lags)
     lines = ["lag,row,col,value"]
     for s in range(eff.start, eff.end + 1):
@@ -169,7 +159,7 @@ def _cmd_ccf(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    m = _load(args.model)
+    m = model.load_model(args.model)
     traj = run_simulation(m, T=args.length, seed=args.seed, burn_in=args.burn_in)
     labels = traj.labels if args.include_latents else traj.labels[: traj.n_observed]
     data = traj.values if args.include_latents else traj.observed()
@@ -237,26 +227,22 @@ def _read_spectral_csv(path: str) -> spectral.SpectralMatrix:
 
 
 def _cmd_identify(args) -> int:
-    if args.spectrum:
-        s = _read_spectral_csv(args.spectrum)
-        m = _load(args.model) if args.model else None
-    else:
-        if not args.model:
-            raise SystemExit(1)
-        m = _load(args.model)
-        s = spectral.spectral_density(m, args.grid)
+    labels = _split(args.labels)
+    if not args.spectrum and not args.model:
+        args.usage_error("identify needs a MODEL or --spectrum")
+    if args.method != "unconfounded" and len(labels) != 3:
+        args.usage_error(f"--method {args.method} needs --labels naming exactly three processes")
+    if args.method == "unconfounded" and not (args.target and args.model):
+        args.usage_error("--method unconfounded needs --target and a MODEL")
 
-    if args.method in ("frontdoor", "instrument"):
-        labels = tuple(_split(args.labels))
-        if len(labels) != 3:
-            raise SystemExit(1)
-        fn = identify.identify_frontdoor if args.method == "frontdoor" else identify.identify_instrument
-        result = fn(s, labels)  # type: ignore[arg-type]
-    else:
-        if not args.target or m is None:
-            raise SystemExit(1)
+    m = model.load_model(args.model) if args.model else None
+    s = _read_spectral_csv(args.spectrum) if args.spectrum else spectral.spectral_density(m, args.grid)
+    if args.method == "unconfounded":
         projection = graph.latent_projection(model.process_graph(m))
         result = identify.identify_unconfounded_parents(s, projection, args.target)
+    else:
+        fn = identify.identify_frontdoor if args.method == "frontdoor" else identify.identify_instrument
+        result = fn(s, labels)  # type: ignore[arg-type]
 
     lines = [SPECTRAL_HEADER]
     flagged = {}
@@ -284,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, usage_error=p.error)
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         return p
 
-    p = add("validate", _cmd_validate, help="stability and loop-gain report (JSON)")
+    p = add("validate", _cmd_validate, help="stability report (JSON)")
     p.add_argument("model")
     p.add_argument("--grid", type=int, default=256)
 

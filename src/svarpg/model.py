@@ -27,7 +27,6 @@ from .errors import SchemaError, SemanticError, SingularContemporaneousError
 
 _COND_LIMIT = 1e12
 STABLE_RADIUS = 1.0 - 1e-9  # companion spectral radii below this certify stability
-_DET_CHUNK_BYTES = 1 << 18  # bound on one batch of characteristic-polynomial matrices
 
 
 @dataclass(frozen=True)
@@ -172,47 +171,37 @@ class StabilityReport:
     ``auto_sums_below_one`` holds when every process keeps the magnitudes of
     its own auto-coefficients summing below one; ``grand_sum_below_one`` is
     the much stronger requirement that the magnitudes of all coefficients in
-    the model sum below one (sufficient for the effect filter series to be
-    absolutely summable even through cycles).  ``stable`` is decided by the
-    companion spectral radius; the sampled characteristic-polynomial margin
-    is a redundant cross-check.  Loop gains are computed against a frequency
-    grid by the spectral module and attached with :meth:`with_loop_gains`;
-    they are diagnostics only, since loops that share a vertex compound (the
-    filter series decides convergence by its own certificate).
+    the model sum below one.  Both are reported, not used to decide anything.
+    ``stable`` is decided by the companion spectral radius of the reduced
+    VAR.  ``loop_spectral_radius`` is max_omega rho(H(omega)) over the edge
+    transfer matrix of all processes: feedback is a property of H, since
+    loops that share a vertex compound, and below one the path series of
+    (I - H)^{-1} converges (Luetkepohl 2005, ch. 2).  It is infinite when
+    some edge transfer function has a pole on the grid.  ``ok`` requires
+    both certificates.
     """
 
     per_process_auto_sum: Mapping[str, float]
     auto_sums_below_one: bool
     grand_sum_below_one: bool
-    char_poly_min_modulus_margin: float
     companion_spectral_radius: float
     stable: bool
-    loop_gain_max: Mapping[tuple[str, ...], float] | None = field(default=None)
-
-    def with_loop_gains(self, gains: Mapping[tuple[str, ...], float]) -> "StabilityReport":
-        return dataclasses.replace(self, loop_gain_max=dict(gains))
+    loop_spectral_radius: float
 
     @property
-    def loop_gains_ok(self) -> bool | None:
-        if self.loop_gain_max is None:
-            return None
-        return all(g < 1.0 - 1e-6 for g in self.loop_gain_max.values())
+    def ok(self) -> bool:
+        return self.stable and self.loop_spectral_radius < STABLE_RADIUS
 
     def to_document(self) -> dict:
-        doc = {
+        return {
             "per_process_auto_sum": dict(self.per_process_auto_sum),
             "auto_sums_below_one": self.auto_sums_below_one,
             "grand_sum_below_one": self.grand_sum_below_one,
-            "char_poly_min_modulus_margin": self.char_poly_min_modulus_margin,
             "companion_spectral_radius": self.companion_spectral_radius,
             "stable": self.stable,
+            "loop_spectral_radius": self.loop_spectral_radius,
+            "ok": self.ok,
         }
-        if self.loop_gain_max is not None:
-            doc["loop_gain_max"] = {
-                "->".join(cycle): gain for cycle, gain in self.loop_gain_max.items()
-            }
-            doc["loop_gains_ok"] = self.loop_gains_ok
-        return doc
 
 
 def parse_document(doc: dict) -> SvarModel:
@@ -332,41 +321,33 @@ def phi_companion(phi: np.ndarray) -> np.ndarray:
 def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
-    The full-VAR check samples |det| of the reverse characteristic polynomial
-    on ``grid_size`` points of the unit circle and on interior rays, and
-    computes the companion spectral radius, which decides ``stable``.
+    ``stable`` comes from the companion spectral radius.  The loop radius
+    max_omega rho(H(omega)) is sampled on ``frequency_grid(grid_size)`` up to
+    omega = pi: real coefficients give H(2 pi - omega) = conj H(omega), so
+    the upper half has the same radii.  A non-positive ``grid_size`` is a
+    SemanticError.
     """
+    from .spectral import _transfer, frequency_grid
+
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
-    per_process_ok = all(s < 1.0 for s in auto_sums.values())
-    global_ok = float(np.abs(m.Phi).sum()) < 1.0
-
-    if m.order == 0:
-        margin = 1.0
-        radius_val = 0.0
-    else:
-        a = reduced_lag_matrices(m)
-        angles = 2.0 * np.pi * np.arange(max(grid_size, 1)) / max(grid_size, 1)
-        z = (np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * angles)).ravel()
-        eye = np.eye(m.n_processes, dtype=complex)
-        chunk = max(1, _DET_CHUNK_BYTES // eye.nbytes)
-        margin = math.inf
-        for c0 in range(0, len(z), chunk):
-            zc = z[c0 : c0 + chunk, None, None]
-            poly = np.repeat(eye[None], len(zc), axis=0)
-            for k in range(1, m.order + 1):
-                poly -= zc**k * a[k]
-            margin = min(margin, float(np.abs(np.linalg.det(poly)).min()))
+    radius_val = 0.0
+    if m.order > 0:
         radius_val = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(m)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = _transfer(m, frequency_grid(grid_size)[: grid_size // 2 + 1])[0]
+    loop_radius = math.inf
+    if np.isfinite(h).all():
+        loop_radius = float(np.abs(np.linalg.eigvals(h)).max())
 
     return StabilityReport(
         per_process_auto_sum=auto_sums,
-        auto_sums_below_one=per_process_ok,
-        grand_sum_below_one=global_ok,
-        char_poly_min_modulus_margin=float(margin),
+        auto_sums_below_one=all(s < 1.0 for s in auto_sums.values()),
+        grand_sum_below_one=float(np.abs(m.Phi).sum()) < 1.0,
         companion_spectral_radius=radius_val,
         stable=radius_val < STABLE_RADIUS,
+        loop_spectral_radius=loop_radius,
     )
 
 

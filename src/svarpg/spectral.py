@@ -230,7 +230,7 @@ def cctf(
     """Controlled causal transfer function of x on y.
 
     Entry (x, y) of the inverse of (I - H) after zeroing every column into x
-    and into the controls; the grid must keep all loop gains below one for the
+    and into the controls; the grid must keep rho(H(omega)) below one for the
     result to agree with the path series.
     """
     controls = set(controls)
@@ -258,7 +258,13 @@ def path_transfer(m: SvarModel, path: DirectedPath, grid: int | np.ndarray) -> n
 
 
 def loop_gain_report(m: SvarModel, grid: int | np.ndarray = 256) -> dict[tuple[str, ...], float]:
-    """Max modulus of the transfer product around each minimal cycle."""
+    """Max modulus of the transfer product around each minimal cycle.
+
+    An exponential diagnostic (it enumerates every cycle), kept as a test
+    oracle: loops that share a vertex compound, so no set of per-cycle gains
+    decides convergence.  ``check_stability`` reports max_omega rho(H(omega))
+    instead.
+    """
     omegas = _as_omegas(grid)
     gains: dict[tuple[str, ...], float] = {}
     for cycle in cycle_basis(process_graph(m)):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def test_validate_feedback_model(capsys):
     assert doc["grand_sum_below_one"] is False
     assert doc["auto_sums_below_one"] is True
     assert doc["stable"] is True
-    assert all(v < 1.0 for v in doc["loop_gain_max"].values())
+    assert doc["loop_spectral_radius"] < 1.0
 
 
 def test_validate_unstable_model(tmp_path, capsys):
@@ -41,6 +42,62 @@ def test_validate_unstable_model(tmp_path, capsys):
     code, out, _ = _run(capsys, "validate", str(path))
     assert code == 2
     assert json.loads(out)["stable"] is False
+
+
+def _write_model(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_rejects_compounding_loops(tmp_path, capsys):
+    # A <-> B and A <-> C each have loop gain 0.6006 < 1, but they share A:
+    # rho(Lambda_0) = sqrt(2 * 0.6006) = 1.096, so the path series diverges
+    loop = math.sqrt(0.6006)
+    doc = {
+        "observed": ["A", "B", "C"],
+        "order": 0,
+        "edges": [
+            {"from": src, "to": dst, "lag": 0, "coeff": loop}
+            for src, dst in (("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"))
+        ],
+        "noise_var": {"A": 1.0, "B": 1.0, "C": 1.0},
+    }
+    code, out, _ = _run(capsys, "validate", _write_model(tmp_path, doc))
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["stable"] is True
+    assert abs(report["loop_spectral_radius"] - math.sqrt(2 * 0.6006)) <= 1e-12
+
+
+def test_validate_many_cycle_model(tmp_path, capsys):
+    # complete digraph on 10 processes: about 1.1 million cycles, rho(H) = 9 * 0.02
+    names = [f"P{i}" for i in range(10)]
+    doc = {
+        "observed": names,
+        "order": 1,
+        "edges": [
+            {"from": src, "to": dst, "lag": 1, "coeff": 0.02}
+            for src in names
+            for dst in names
+            if src != dst
+        ],
+        "noise_var": {name: 1.0 for name in names},
+    }
+    code, out, _ = _run(capsys, "validate", _write_model(tmp_path, doc))
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["loop_spectral_radius"] == pytest.approx(0.18, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_validate_grid_not_positive_exits_2(capsys, grid):
+    code, out, err = _run(capsys, "validate", GRAPH_C, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "SemanticError", "message": "grid size must be positive"}
 
 
 def test_semantic_error_exits_2(tmp_path, capsys):
@@ -249,6 +306,28 @@ def test_identify_frontdoor_from_model(capsys, confounded_mediator):
     got = np.array([complex(float(r.split(",")[4]), float(r.split(",")[5])) for r in rows])
     exact = edge_transfer(confounded_mediator, "W", "Y").evaluate(frequency_grid(16))
     assert np.abs(got - exact).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--method", "frontdoor"], "identify needs a MODEL or --spectrum"),
+        (
+            [GRAPH_A, "--method", "instrument", "--labels", "X,M"],
+            "--method instrument needs --labels naming exactly three processes",
+        ),
+        ([GRAPH_A, "--method", "unconfounded"], "--method unconfounded needs --target and a MODEL"),
+    ],
+    ids=["no_model", "labels", "unconfounded"],
+)
+def test_identify_usage_errors_exit_1_with_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["identify", *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: svarpg identify")
+    assert f"error: {message}" in captured.err
 
 
 def test_reruns_are_byte_identical(capsys):

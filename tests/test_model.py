@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CYCLIC_LATENT_EDGES, FIXTURES, ar1, random_model
+from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, ar1, random_model
 from svarpg.errors import SchemaError, SemanticError
 from svarpg.model import (
+    SvarModel,
     check_stability,
     load_model,
     parse_model,
     process_graph,
-    reduced_lag_matrices,
 )
+from svarpg.spectral import edge_transfer, frequency_grid, loop_gain_report
 
 
 GRAPH_A_DOC = {
@@ -100,37 +101,80 @@ def test_stability_graph_c(graph_c):
     # grand total of coefficient magnitudes is 3.0, far above the global bound
     assert not rep.grand_sum_below_one
     assert rep.stable
-    assert rep.char_poly_min_modulus_margin > 0.0
+    assert 0.0 < rep.loop_spectral_radius < 1.0
+    assert rep.ok
 
 
-def _margin_loop(m, grid_size):
-    """Reference: one determinant per radius and grid point."""
-    a = reduced_lag_matrices(m)
-    margin = np.inf
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    for radius in (0.25, 0.5, 0.75, 1.0):
-        for z in radius * np.exp(1j * angles):
-            poly = np.eye(m.n_processes, dtype=complex)
-            for k in range(1, m.order + 1):
-                poly -= (z**k) * a[k]
-            margin = min(margin, abs(np.linalg.det(poly)))
-    return margin
+def test_loop_radius_squares_to_the_only_loop_gain(graph_c):
+    # X <-> Y is graph_c's only cycle, so rho(H) = sqrt(|H_XY H_YX|) pointwise
+    for grid_size in (7, 64, 256):
+        radius = check_stability(graph_c, grid_size).loop_spectral_radius
+        gain = max(loop_gain_report(graph_c, grid_size).values())
+        assert abs(radius**2 - gain) <= 1e-12
 
 
-def test_char_poly_margin_matches_determinant_loop():
-    rng = np.random.default_rng(23)
-    models = [load_model(path) for path in sorted(FIXTURES.glob("*.json"))]
-    models += [
+def _loop_radius_per_point(m, grid_size):
+    """Reference: H(omega_j) built edge by edge at every grid point."""
+    names = m.processes
+    best = 0.0
+    for omega in frequency_grid(grid_size):
+        h = np.zeros((len(names), len(names)), dtype=complex)
+        for i, src in enumerate(names):
+            for j, dst in enumerate(names):
+                if m.has_edge(src, dst):
+                    h[i, j] = edge_transfer(m, src, dst).evaluate(omega)[0]
+        best = max(best, float(np.abs(np.linalg.eigvals(h)).max()))
+    return best
+
+
+def test_half_grid_loop_radius_matches_full_grid_reference():
+    models = [load_model(FIXTURES / f"{name}.json") for name in FIXTURE_NAMES]
+    models.append(
         random_model(
-            rng, ("A", "B", "C"), ("L1", "L2"), CYCLIC_LATENT_EDGES, order=3, contemporaneous=True
+            np.random.default_rng(23),
+            ("A", "B", "C"),
+            ("L1", "L2"),
+            CYCLIC_LATENT_EDGES,
+            order=3,
+            contemporaneous=True,
         )
-        for _ in range(5)
-    ]
+    )
     for m in models:
-        for grid_size in (1, 7, 64):
-            expected = _margin_loop(m, grid_size)
-            margin = check_stability(m, grid_size).char_poly_min_modulus_margin
-            assert margin == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+        for grid_size in (1, 2, 7, 64):
+            expected = _loop_radius_per_point(m, grid_size)
+            radius = check_stability(m, grid_size).loop_spectral_radius
+            assert abs(radius - expected) <= 1e-12 * expected
+
+
+def test_loop_radius_covers_latent_cycles():
+    # the observed part is acyclic; the series diverges through L1 <-> L2
+    m = SvarModel(
+        observed=("X",),
+        latents=("L1", "L2"),
+        order=0,
+        coeffs={("L1", "L2", 0): 1.2, ("L2", "L1", 0): 1.2, ("L1", "X", 0): 0.5},
+        noise_var={"X": 1.0, "L1": 1.0, "L2": 1.0},
+    )
+    rep = check_stability(m)
+    assert rep.stable
+    assert rep.loop_spectral_radius == pytest.approx(1.2, rel=1e-12)
+    assert not rep.ok
+
+
+def test_loop_radius_is_infinite_at_a_pole_on_the_grid():
+    # X's own dynamics 1 - z vanish at omega = 0, so the edge Y -> X has a
+    # pole there although the VAR itself is stable (companion radius 0.707)
+    m = SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.0, ("X", "Y", 1): 0.5, ("Y", "X", 1): -1.0},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+    rep = check_stability(m)
+    assert rep.stable
+    assert rep.loop_spectral_radius == np.inf
+    assert not rep.ok
 
 
 def test_stability_ar1():
@@ -183,7 +227,6 @@ def test_process_graph_with_latent(confounded_mediator):
 
 def test_singular_contemporaneous_rejected():
     from svarpg.errors import SingularContemporaneousError
-    from svarpg.model import SvarModel
 
     m = SvarModel(
         observed=("A", "B"),
