@@ -17,7 +17,7 @@ import numpy as np
 
 from . import filters, graph, identify, model, spectral
 from .simulate import Trajectory, simulate as run_simulation, welch_spectrum
-from .errors import SvarpgError
+from .errors import SchemaError, SvarpgError
 
 SPECTRAL_HEADER = "omega,quantity,row,col,re,im,modulus,phase"
 
@@ -73,17 +73,13 @@ def _cmd_paths(args) -> int:
 
 def _cmd_transfer(args) -> int:
     m = model.load_model(args.model)
+    omegas = spectral.frequency_grid(args.grid)
     if args.edge:
-        values = spectral.edge_transfer(m, args.source, args.target).evaluate(
-            spectral.frequency_grid(args.grid)
-        )
+        values = spectral.edge_transfer(m, args.source, args.target).evaluate(omegas)
         quantity = "H"
     else:
-        values = spectral.cctf(
-            m, args.source, args.target, _split(args.controls), args.grid
-        ).scalar_values()
+        values = spectral.cctf(m, args.source, args.target, _split(args.controls), omegas).scalar_values()
         quantity = "CCTF"
-    omegas = spectral.frequency_grid(args.grid)
     lines = [SPECTRAL_HEADER]
     for w, v in zip(omegas, values):
         lines.append(_spectral_rows(w, quantity, args.source, args.target, complex(v)))
@@ -91,15 +87,18 @@ def _cmd_transfer(args) -> int:
     return 0
 
 
-def _cmd_spectral(args) -> int:
-    m = model.load_model(args.model)
-    s = spectral.spectral_density(m, args.grid)
+def _matrix_rows(omegas: np.ndarray, labels: Sequence[str], values: np.ndarray) -> list[str]:
     lines = [SPECTRAL_HEADER]
-    for i, w in enumerate(s.omegas):
-        for a, row in enumerate(s.labels):
-            for b, col in enumerate(s.labels):
-                lines.append(_spectral_rows(w, "S", row, col, complex(s.values[i, a, b])))
-    _emit(lines, args.output)
+    for i, w in enumerate(omegas):
+        for a, row in enumerate(labels):
+            for b, col in enumerate(labels):
+                lines.append(_spectral_rows(w, "S", row, col, complex(values[i, a, b])))
+    return lines
+
+
+def _cmd_spectral(args) -> int:
+    s = spectral.spectral_density(model.load_model(args.model), args.grid)
+    _emit(_matrix_rows(s.omegas, s.labels, s.values), args.output)
     return 0
 
 
@@ -107,31 +106,20 @@ def _cmd_decompose(args) -> int:
     m = model.load_model(args.model)
     lines = [SPECTRAL_HEADER]
 
-    def factor_rows(dec, quantity_for):
+    def factor_rows(dec, source=None):
         for i, w in enumerate(dec.omegas):
-            for name, series in (
-                ("causal", dec.causal),
-                ("confounding", dec.confounding),
-                ("residual", dec.residual),
-            ):
-                lines.append(
-                    _spectral_rows(w, quantity_for(name), args.ancestor, args.target, complex(series[i]))
-                )
+            for name in ("causal", "confounding", "residual"):
+                quantity, row = (name, args.ancestor) if source is None else (f"source:{source}", name)
+                lines.append(_spectral_rows(w, quantity, row, args.target, complex(getattr(dec, name)[i])))
 
     if args.by_source:
         split = spectral.decompose_by_source(m, args.ancestor, args.target, args.grid)
-        factor_rows(split.total, lambda name: name)
+        factor_rows(split.total)
         for source, dec in split.sources.items():
-            for i, w in enumerate(dec.omegas):
-                for name, series in (
-                    ("causal", dec.causal),
-                    ("confounding", dec.confounding),
-                    ("residual", dec.residual),
-                ):
-                    lines.append(_spectral_rows(w, f"source:{source}", name, args.target, complex(series[i])))
+            factor_rows(dec, source)
     else:
         dec = spectral.decompose_spectrum(m, args.ancestor, args.target, args.grid)
-        factor_rows(dec, lambda name: name)
+        factor_rows(dec)
     _emit(lines, args.output)
     return 0
 
@@ -174,10 +162,14 @@ def _read_series_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
         if not header or header[0] != "t":
-            raise SvarpgError("series CSV must start with a 't' column")
-        labels = tuple(header[1:])
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    return labels, data[:, 1:]
+            raise SchemaError("series CSV must start with a 't' column")
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"malformed series CSV: {exc}") from None
+    if data.shape[1] != len(header):
+        raise SchemaError(f"series CSV rows have {data.shape[1]} fields, header has {len(header)}")
+    return tuple(header[1:]), data[:, 1:]
 
 
 def _cmd_estimate(args) -> int:
@@ -188,42 +180,37 @@ def _cmd_estimate(args) -> int:
     est = welch_spectrum(
         traj, segment_len=args.segment_len, overlap=args.overlap, grid=args.grid
     )
-    lines = [SPECTRAL_HEADER]
-    for i, w in enumerate(est.omegas):
-        for a, row in enumerate(est.labels):
-            for b, col in enumerate(est.labels):
-                lines.append(_spectral_rows(w, "S", row, col, complex(est.values[i, a, b])))
-    _emit(lines, args.output)
+    _emit(_matrix_rows(est.omegas, est.labels, est.values), args.output)
     return 0
 
 
 def _read_spectral_csv(path: str) -> spectral.SpectralMatrix:
     rows: dict[tuple[float, str, str], complex] = {}
-    labels: list[str] = []
-    omegas: list[float] = []
+    labels: dict[str, int] = {}  # first-appearance order
+    omegas: dict[float, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != SPECTRAL_HEADER:
-            raise SvarpgError("unexpected spectral CSV header")
+            raise SchemaError("unexpected spectral CSV header")
         for line in handle:
             parts = line.strip().split(",")
             if len(parts) != 8 or parts[1] != "S":
                 continue
-            omega = float(parts[0])
-            row, col = parts[2], parts[3]
-            rows[(omega, row, col)] = complex(float(parts[4]), float(parts[5]))
-            if row not in labels:
-                labels.append(row)
-            if omega not in omegas:
-                omegas.append(omega)
+            try:
+                omega, re, im = float(parts[0]), float(parts[4]), float(parts[5])
+            except ValueError:
+                raise SchemaError(f"non-numeric field in spectral CSV row {line.strip()!r}") from None
+            rows[(omega, parts[2], parts[3])] = complex(re, im)
+            labels.setdefault(parts[2], len(labels))
+            omegas.setdefault(omega, len(omegas))
     values = np.zeros((len(omegas), len(labels), len(labels)), dtype=complex)
-    for i, omega in enumerate(omegas):
-        for a, row in enumerate(labels):
-            for b, col in enumerate(labels):
-                values[i, a, b] = rows[(omega, row, col)]
-    return spectral.SpectralMatrix(
-        labels=tuple(labels), omegas=np.asarray(omegas), values=values
-    )
+    for (omega, row, col), value in rows.items():
+        if col not in labels:
+            raise SchemaError(f"spectral CSV column {col!r} is never a row")
+        values[omegas[omega], labels[row], labels[col]] = value
+    if len(rows) != values.size:
+        raise SchemaError(f"spectral CSV has {len(rows)} of {values.size} (omega, row, col) entries")
+    return spectral.SpectralMatrix(labels=tuple(labels), omegas=np.asarray(list(omegas)), values=values)
 
 
 def _cmd_identify(args) -> int:

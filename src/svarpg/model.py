@@ -15,7 +15,6 @@ computation, matrix and graph view reads those two arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,11 +138,6 @@ class SvarModel:
 
     def has_edge(self, src: str, dst: str) -> bool:
         return bool(self._edge_mask[self._index(src), self._index(dst)])
-
-    def with_noise_var(self, overrides: Mapping[str, float]) -> "SvarModel":
-        merged = dict(self.noise_var)
-        merged.update(overrides)
-        return dataclasses.replace(self, noise_var=merged)
 
     # -- serialization -------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 Every edge carries a rational transfer function on the complex unit circle
 (numerator from the cross coefficients, denominator from the target's
-auto-dependencies).  Spectral densities follow the plain Fourier sum of the
-auto-covariance sequence, with no 1/2pi normalization.  Frequency grids are
-equispaced on [0, 2pi).
+auto-dependencies).  Spectra, cctf and per-source splits solve on the one
+matrix M(omega) = I - sum_k Phi_k exp(-i omega k) and divide by no 1 - a_j(z):
+S = X X^H with X = M^{-T} diag(sigma).  Spectral densities follow the plain
+Fourier sum of the auto-covariance sequence, with no 1/2pi normalization.
+Frequency grids are equispaced on [0, 2pi).
 """
 
 from __future__ import annotations
@@ -174,27 +176,47 @@ def _solve(a: np.ndarray, b: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         return out
 
 
-def _solve_sandwich(a: np.ndarray, s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """(A)^{-T} S (A)^{-*} per frequency, batched."""
-    left = _solve(a.transpose(0, 2, 1), s, omegas)
-    right = _solve(np.conj(a).transpose(0, 2, 1), left.transpose(0, 2, 1), omegas)
-    return right.transpose(0, 2, 1)
+def _reduced(m: SvarModel, omegas: np.ndarray, block: slice, cut: Iterable[int] = ()) -> np.ndarray:
+    """M(omega) = I - sum_k phi_k z^k over ``m.processes[block]``, evaluated only
+    where phi is nonzero, with the block columns ``cut`` zeroed (autos included)."""
+    phi = m.Phi[:, block, block]
+    live = (phi != 0.0).any(axis=0)
+    live[:, list(cut)] = False
+    rows, cols = np.nonzero(live)
+    powers = np.exp(-1j * omegas)[:, None] ** np.arange(m.order + 1)[None, :]
+    out = np.zeros((len(omegas),) + live.shape, dtype=complex)
+    out[:, rows, cols] = -(powers @ phi[:, rows, cols])
+    diag = np.arange(len(live))
+    out[:, diag, diag] += 1.0
+    return out
 
 
-def _inverse_entry(h: np.ndarray, i: int, j: int, omegas: np.ndarray) -> np.ndarray:
-    """Entry (i, j) of (I - h)^{-1} per frequency, from one column solve."""
-    n = h.shape[1]
-    rhs = np.zeros((len(omegas), n, 1), dtype=complex)
+def _noise_factor(m: SvarModel, omegas: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+    """X = M(omega)^{-T} diag(sigma) over ``m.processes[block]``: column k is
+    the response to source k, and X X^H is the block's spectrum."""
+    a = _reduced(m, omegas, block).transpose(0, 2, 1)
+    sigma = np.sqrt([m.noise_var[name] for name in m.processes[block]])
+    return _solve(a, np.broadcast_to(np.diag(sigma), a.shape), omegas)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X X^H per frequency."""
+    return x @ np.conj(x).transpose(0, 2, 1)
+
+
+def _inverse_entry(a: np.ndarray, i: int, j: int, omegas: np.ndarray) -> np.ndarray:
+    """Entry (i, j) of a^{-1} per frequency, from one column solve."""
+    rhs = np.zeros((len(omegas), a.shape[1], 1), dtype=complex)
     rhs[:, j, 0] = 1.0
-    return _solve(np.eye(n)[None, :, :] - h, rhs, omegas)[:, i, 0]
+    return _solve(a, rhs, omegas)[:, i, 0]
 
 
 def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observed edge transfers H and the projected noise spectrum S_LI.
+    """Observed edge transfers H and the trek rule's projected noise spectrum S_LI.
 
     S_LI holds the internal spectra of the observed processes on its diagonal
-    plus the latent contribution J^T S_lat J^*, where the latent spectrum
-    S_lat is itself solved through the latent-to-latent edges when any exist.
+    plus the latent contribution J^T S_lat J^*, S_lat the latent block's spectrum
+    (its internal spectra when no latent drives another).
     """
     h, d = _transfer(m, omegas)
     internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(d) ** 2
@@ -204,20 +226,19 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if m.latents:
         j = h[:, n:, :n]
         s_lat = s_int[:, n:, n:]
-        if m._edge_mask[n:, n:].any():
-            eye = np.eye(len(m.latents))[None, :, :]
-            s_lat = _solve_sandwich(eye - h[:, n:, n:], s_lat, omegas)
+        if m._edge_mask[n:, n:].any():  # latents driving each other
+            s_lat = _gram(_noise_factor(m, omegas, slice(n, None)))
         s_li = s_li + np.einsum("wdi,wde,wej->wij", j, s_lat, np.conj(j))
     return h[:, :n, :n], s_li
 
 
 def spectral_density(m: SvarModel, grid: int | np.ndarray = 256) -> SpectralMatrix:
-    """Analytic spectral density of the observed processes."""
+    """Analytic spectral density of the observed processes: S = X X^H on the
+    observed rows of X = M(omega)^{-T} diag(sigma), one solve over all processes
+    (latents receive no observed edges), no denominators."""
     omegas = _as_omegas(grid)
-    h, s_li = _assemble(m, omegas)
-    eye = np.eye(m.n_observed)[None, :, :]
-    values = _solve_sandwich(eye - h, s_li, omegas)
-    return SpectralMatrix(labels=m.observed, omegas=omegas, values=values)
+    x = _noise_factor(m, omegas)[:, : m.n_observed]
+    return SpectralMatrix(labels=m.observed, omegas=omegas, values=_gram(x))
 
 
 def cctf(
@@ -229,9 +250,11 @@ def cctf(
 ) -> TransferGrid:
     """Controlled causal transfer function of x on y.
 
-    Entry (x, y) of the inverse of (I - H) after zeroing every column into x
-    and into the controls; the grid must keep rho(H(omega)) below one for the
-    result to agree with the path series.
+    Entry (x, y) of M_cut(omega)^{-1} on the observed block, the columns of x
+    and the controls zeroed: (I - H_cut)^{-1} = diag(d) M_cut^{-1} and d_x = 1.
+    No denominator is divided by; a true pole is a SingularAtFrequencyError.
+    The grid must keep rho(H(omega)) below one for the result to agree with
+    the path series.
     """
     controls = set(controls)
     if x not in m.observed or y not in m.observed:
@@ -241,10 +264,9 @@ def cctf(
     if not controls <= set(m.observed):
         raise SemanticError("controls must be observed processes")
     omegas = _as_omegas(grid)
-    n = m.n_observed
-    h = _transfer(m, omegas)[0][:, :n, :n]
-    h[:, :, [m.observed.index(name) for name in controls | {x}]] = 0.0
-    values = _inverse_entry(h, m.observed.index(x), m.observed.index(y), omegas)
+    cut = [m.observed.index(name) for name in controls | {x}]
+    a = _reduced(m, omegas, slice(None, m.n_observed), cut)
+    values = _inverse_entry(a, m.observed.index(x), m.observed.index(y), omegas)
     return TransferGrid(omegas=omegas, values=values[:, None, None])
 
 
@@ -284,7 +306,7 @@ def freq_path_rule_check(
     omegas = _as_omegas(grid)
     n = m.n_observed
     h = _transfer(m, omegas)[0][:, :n, :n]
-    exact = _inverse_entry(h, m.observed.index(v), m.observed.index(w), omegas)
+    exact = _inverse_entry(np.eye(n) - h, m.observed.index(v), m.observed.index(w), omegas)
     total = np.zeros(len(omegas), dtype=complex)
     for path in enumerate_paths(process_graph(m), v, w, max_cycle_depth=depth):
         if all(name not in m.latents for name in path.vertices):
@@ -316,8 +338,6 @@ def decompose_spectrum(
     confounding = 2 Re(H S_{ancestor,target}) - 2 |H|^2 S_ancestor;
     residual is the remainder.
     """
-    if ancestor == target:
-        raise SemanticError("ancestor and target must differ")
     omegas = _as_omegas(grid)
     s = spectral_density(m, omegas)
     ctf = cctf(m, ancestor, target, (), omegas).scalar_values()
@@ -327,6 +347,8 @@ def decompose_spectrum(
 def _decompose_from(
     s: SpectralMatrix, ctf: np.ndarray, ancestor: str, target: str
 ) -> SpectralDecomposition:
+    if ancestor == target:
+        raise SemanticError("ancestor and target must differ")
     s_anc = s.entry(ancestor, ancestor).real
     s_tgt = s.entry(target, target).real
     cross = s.entry(ancestor, target)
@@ -358,18 +380,20 @@ def decompose_by_source(
 ) -> SourceDecomposition:
     """Attribute each decomposition factor to the individual noise sources.
 
-    Zeroes all innovation variances except one and reruns the factor formulas
-    with the unchanged transfer functions; the portions add up to the full
-    factors because every factor is linear in the noise variances.
+    Source k's spectrum is the outer product of column k of X = M^{-T} diag(sigma);
+    the factor formulas rerun on it with the unchanged cctf, and the portions
+    add up to the full factors because S = X X^H sums those outer products.
     """
     if m.latents:
         raise LatentPresentError("per-source split requires a latent-free model")
     omegas = _as_omegas(grid)
-    total = decompose_spectrum(m, ancestor, target, omegas)
     ctf = cctf(m, ancestor, target, (), omegas).scalar_values()
-    sources = {}
-    for name in m.observed:
-        solo = m.with_noise_var({other: 0.0 for other in m.observed if other != name})
-        s_solo = spectral_density(solo, omegas)
-        sources[name] = _decompose_from(s_solo, ctf, ancestor, target)
+    x = _noise_factor(m, omegas)
+    total = _decompose_from(SpectralMatrix(m.observed, omegas, _gram(x)), ctf, ancestor, target)
+    sources = {
+        name: _decompose_from(
+            SpectralMatrix(m.observed, omegas, _gram(x[:, :, k : k + 1])), ctf, ancestor, target
+        )
+        for k, name in enumerate(m.observed)
+    }
     return SourceDecomposition(total=total, sources=sources)

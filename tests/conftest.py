@@ -72,6 +72,20 @@ def explosive_target() -> SvarModel:
     )
 
 
+def unit_root_own_dynamics() -> SvarModel:
+    """X -> X 1.0, X -> Y 0.5 and Y -> X -1.0, all at lag 1: the VAR is stable
+    (companion radius 0.707), but X's own dynamics 1 - z vanish at omega = 0,
+    so the edge function Y -> X has a pole there while the spectrum is finite,
+    S(0) = [[8, 2], [2, 1]]."""
+    return SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.0, ("X", "Y", 1): 0.5, ("Y", "X", 1): -1.0},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+
+
 def _scaled_autos(rng: np.random.Generator, name: str, order: int, budget: float) -> dict:
     lags = rng.choice(np.arange(1, order + 1), size=min(2, order), replace=False)
     raw = rng.uniform(-1.0, 1.0, size=len(lags))

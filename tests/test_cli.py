@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
-from svarpg.cli import run
+from conftest import FIXTURES, unit_root_own_dynamics
+from svarpg.cli import SPECTRAL_HEADER, run
 from svarpg.spectral import cctf, edge_transfer, frequency_grid, spectral_density
 
 GRAPH_A = str(FIXTURES / "graph_a.json")
@@ -282,6 +282,53 @@ def test_identify_from_spectrum_csv(tmp_path, capsys, graph_a):
     got = np.array([complex(float(l.split(",")[4]), float(l.split(",")[5])) for l in lines])
     exact = edge_transfer(graph_a, "X", "M").evaluate(frequency_grid(32))
     assert np.abs(got - exact).max() < 1e-9
+
+
+@pytest.mark.parametrize("grid", [32, 1024])
+def test_identify_from_spectrum_csv_matches_model_bytes(tmp_path, capsys, grid):
+    model_path = str(FIXTURES / "instrument.json")
+    spectrum_csv = tmp_path / "s.csv"
+    assert _run(capsys, "spectral", model_path, "--grid", str(grid), "-o", str(spectrum_csv))[0] == 0
+    flags = ["--method", "instrument", "--labels", "X,M,Y", "--grid", str(grid)]
+    from_model = _run(capsys, "identify", model_path, *flags)
+    from_csv = _run(capsys, "identify", "--spectrum", str(spectrum_csv), *flags)
+    assert from_model[0] == from_csv[0] == 0
+    assert from_csv[1] == from_model[1]
+
+
+MALFORMED_CSV = {
+    "spectrum_missing_entry": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X,Y,1.0,0.0,1.0,0.0"),
+    "spectrum_non_numeric": (SPECTRAL_HEADER, "0.0,S,X,X,one,0.0,1.0,0.0"),
+    "series_non_numeric": ("t,X,Y", "0,1.0,2.0", "1,1.0,abc"),
+    "series_ragged_row": ("t,X,Y", "0,1.0,2.0", "1,1.0"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CSV)
+def test_malformed_csv_inputs_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(MALFORMED_CSV[name]) + "\n")
+    if name.startswith("spectrum"):
+        argv = ["identify", "--spectrum", str(path), "--method", "instrument", "--labels", "X,M,Y"]
+    else:
+        argv = ["estimate", str(path), "--segment-len", "1", "--grid", "1"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv", [["spectral"], ["decompose", "--ancestor", "X", "--target", "Y"]], ids=["spectral", "decompose"]
+)
+def test_unit_root_in_own_dynamics_prints_finite_rows(tmp_path, capsys, argv):
+    path = tmp_path / "model.json"
+    path.write_text(unit_root_own_dynamics().to_json())
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--grid", "4")
+    assert code == 0
+    assert err == ""
+    assert "nan" not in out and len(out.splitlines()) > 1
 
 
 def test_transfer_edge_flag(capsys, graph_a):

@@ -1,12 +1,17 @@
-"""Closed-form and all-lags-at-once lag-domain code against the loops it replaced.
+"""Closed-form and all-lags-at-once code against the routes it replaced.
 
 The reference functions below are the earlier implementations, kept verbatim
 as oracles: the truncated MA(infinity) sum behind ``acs_via_ma_infinity``, the
 per-lag ``convolve`` and ``tilted_convolve``, the per-lag tail scan of
-``_two_sided_to_acs`` and the column-wise ``_innovations``.
+``_two_sided_to_acs``, the column-wise ``_innovations``, and the
+process-level frequency route (edge transfers over 1 - a_j(z), two sandwich
+solves, one rebuilt model per noise source) behind the reduced-form
+``spectral_density``, ``cctf`` and ``decompose_by_source``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +41,16 @@ from svarpg.model import (
     reduced_lag_matrices,
 )
 from svarpg.simulate import _blocked_recursion, _innovations, simulate
+from svarpg.spectral import (
+    SpectralMatrix,
+    _decompose_from,
+    _inverse_entry,
+    _transfer,
+    cctf,
+    decompose_by_source,
+    frequency_grid,
+    spectral_density,
+)
 
 
 def _ma_psi_loop(m: SvarModel, L_acs: int, L_psi: int) -> np.ndarray:
@@ -98,6 +113,50 @@ def _innovations_columns(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
         scale = np.sqrt(m.noise_var[name])
         out[:, idx] = scale * rng.standard_normal(n_steps)
     return out
+
+
+def _sandwich_loop(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(A)^{-T} S (A)^{-*} per frequency, batched."""
+    left = np.linalg.solve(a.transpose(0, 2, 1), s)
+    right = np.linalg.solve(np.conj(a).transpose(0, 2, 1), left.transpose(0, 2, 1))
+    return right.transpose(0, 2, 1)
+
+
+def _process_level_spectrum(m: SvarModel, omegas: np.ndarray) -> np.ndarray:
+    """(I - H)^{-T} S_LI (I - H)^{-*}, S_LI from the internal spectra and the latent sandwich."""
+    h, d = _transfer(m, omegas)
+    internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(d) ** 2
+    s_int = internal[:, :, None] * np.eye(m.n_processes)
+    n = m.n_observed
+    s_li = s_int[:, :n, :n]
+    if m.latents:
+        j = h[:, n:, :n]
+        s_lat = s_int[:, n:, n:]
+        if m._edge_mask[n:, n:].any():
+            s_lat = _sandwich_loop(np.eye(len(m.latents))[None, :, :] - h[:, n:, n:], s_lat)
+        s_li = s_li + np.einsum("wdi,wde,wej->wij", j, s_lat, np.conj(j))
+    return _sandwich_loop(np.eye(n)[None, :, :] - h[:, :n, :n], s_li)
+
+
+def _process_level_cctf(m: SvarModel, x: str, y: str, controls, omegas) -> np.ndarray:
+    """Entry (x, y) of (I - H_cut)^{-1}, H_cut without the columns of x and the controls."""
+    n = m.n_observed
+    h = _transfer(m, omegas)[0][:, :n, :n]
+    h[:, :, [m.observed.index(name) for name in set(controls) | {x}]] = 0.0
+    return _inverse_entry(np.eye(n) - h, m.observed.index(x), m.observed.index(y), omegas)
+
+
+def _solo_model_split(m: SvarModel, ancestor: str, target: str, omegas: np.ndarray) -> dict:
+    """One rebuilt model per source, every other innovation variance zeroed."""
+    ctf = _process_level_cctf(m, ancestor, target, (), omegas)
+    sources = {}
+    for name in m.observed:
+        solo = dataclasses.replace(
+            m, noise_var={k: (v if k == name else 0.0) for k, v in m.noise_var.items()}
+        )
+        s_solo = SpectralMatrix(m.observed, omegas, _process_level_spectrum(solo, omegas))
+        sources[name] = _decompose_from(s_solo, ctf, ancestor, target)
+    return sources
 
 
 def _order0() -> SvarModel:
@@ -228,3 +287,47 @@ def test_trajectories_match_column_innovations_bit_for_bit(name):
     assert np.array_equal(_innovations(m, T + burn_in, seed), eta)
     expected = _blocked_recursion(companion_matrix(m), eta @ contemporaneous_solve_matrix(m).T)
     assert np.array_equal(simulate(m, T, seed, burn_in).values, expected[burn_in:])
+
+
+# -- frequency engine: one solve on M(omega) = I - Phi(z) ------------------------
+
+
+FREQ_MODELS = {name: MA_MODELS[name] for name in (*FIXTURE_NAMES, "cyclic_latent")}
+OM = frequency_grid(128)
+
+
+@pytest.mark.parametrize("name", FREQ_MODELS)
+def test_spectral_density_matches_process_level_route(name):
+    m = FREQ_MODELS[name]()
+    expected = _process_level_spectrum(m, OM)
+    got = spectral_density(m, OM).values
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", FREQ_MODELS)
+def test_cctf_matches_inverse_of_cut_edge_transfers(name):
+    m = FREQ_MODELS[name]()
+    for x in m.observed:
+        for y in m.observed:
+            if x == y:
+                continue
+            for controls in [()] + [(c,) for c in m.observed if c not in (x, y)]:
+                expected = _process_level_cctf(m, x, y, controls, OM)
+                got = cctf(m, x, y, controls, OM).scalar_values()
+                assert np.abs(got - expected).max() <= 1e-13, (x, y, controls)
+
+
+@pytest.mark.parametrize("name", [name for name in FREQ_MODELS if not FREQ_MODELS[name]().latents])
+def test_per_source_split_matches_solo_model_loop(name):
+    m = FREQ_MODELS[name]()
+    for ancestor in m.observed:
+        for target in m.observed:
+            if ancestor == target:
+                continue
+            expected = _solo_model_split(m, ancestor, target, OM)
+            got = decompose_by_source(m, ancestor, target, OM).sources
+            assert list(got) == list(expected)
+            for source, dec in got.items():
+                for part in ("causal", "confounding", "residual", "target_spectrum"):
+                    diff = getattr(dec, part) - getattr(expected[source], part)
+                    assert np.abs(diff).max() <= 1e-13, (ancestor, target, source, part)

@@ -1,10 +1,16 @@
 """Byte-for-byte CLI outputs on bundled fixtures.
 
-The files under ``tests/golden/`` were written by the CLI to stdout, e.g.
-``svarpg ccf fixtures/graph_c.json --from X --to Y --lags 32``.  These paths
-only read model coefficients and keep the order of floating-point operations,
-so no refactor may move them by one ulp; regenerate a file only for an
-intended change of its numbers.
+The files under ``tests/golden/`` were written by the CLI, e.g.
+``svarpg ccf fixtures/graph_c.json --from X --to Y --lags 32``, and do not
+depend on the number of BLAS threads.  The ``validate``, ``ccf``, ``acs``,
+``simulate``, ``estimate`` and ``transfer --edge`` paths only read model
+coefficients or data and keep the order of floating-point operations, so no
+refactor may move them by one ulp.  The ``spectral``, ``transfer``,
+``decompose`` and ``identify`` files carry the rounding of the frequency
+engine's per-frequency solve; regenerate a file only for an intended change
+of its numbers, and record the largest deviation that the change caused.
+``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
+fixtures/graph_b.json --length 512 --seed 5``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,27 @@ CASES = [
     (
         "simulate_confounded_mediator_128_3.csv",
         ["simulate", "confounded_mediator.json", "--length", "128", "--seed", "3", "--include-latents"],
+    ),
+    ("spectral_graph_c_64.csv", ["spectral", "graph_c.json", "--grid", "64"]),
+    (
+        "transfer_graph_b_X_Y_M_64.csv",
+        ["transfer", "graph_b.json", "--from", "X", "--to", "Y", "--controls", "M", "--grid", "64"],
+    ),
+    (
+        "transfer_edge_graph_b_X_Y_64.csv",
+        ["transfer", "graph_b.json", "--from", "X", "--to", "Y", "--controls", "M", "--edge", "--grid", "64"],
+    ),
+    (
+        "decompose_graph_b_X_Y_by_source_64.csv",
+        ["decompose", "graph_b.json", "--ancestor", "X", "--target", "Y", "--by-source", "--grid", "64"],
+    ),
+    (
+        "estimate_graph_b_series_128_32.csv",
+        ["estimate", "graph_b_series_512_5.csv", "--segment-len", "128", "--grid", "32"],
+    ),
+    (
+        "identify_instrument_64.csv",
+        ["identify", "instrument.json", "--method", "instrument", "--labels", "X,M,Y", "--grid", "64"],
     ),
 ]
 

@@ -46,7 +46,7 @@ def test_frontdoor_random_round_trips():
 def test_frontdoor_zero_latent_variance_matches_regression():
     rng = np.random.default_rng(7)
     m = random_frontdoor(rng)
-    silent = m.with_noise_var({"L": 0.0})
+    silent = dataclasses.replace(m, noise_var={**m.noise_var, "L": 0.0})
     s = spectral_density(silent, OM)
     front = identify_frontdoor(s, ("X", "W", "Y"))
     # without latent confounding, W has the single parent X and the plain

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ar1
+from conftest import ar1, random_model, unit_root_own_dynamics
 from svarpg.errors import LatentPresentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
@@ -230,6 +230,27 @@ def test_singular_frequency_is_typed_error():
         freq_path_rule_check(m, "A", "B", 8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_unit_root_in_own_dynamics_gives_finite_spectrum():
+    m = unit_root_own_dynamics()
+    s = spectral_density(m, 4)
+    assert np.isfinite(s.values).all()
+    assert np.abs(s.values[0] - [[8.0, 2.0], [2.0, 1.0]]).max() < 1e-12
+    dec = decompose_spectrum(m, "X", "Y", 4)
+    assert np.isfinite([dec.causal, dec.confounding, dec.residual]).all()
+    split = decompose_by_source(m, "X", "Y", 4)
+    assert np.abs(sum(part.residual for part in split.sources.values()) - dec.residual).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_true_pole_of_a_controlled_effect_is_typed_error():
+    # with the edges into Y cut, Y -> X still runs through X's own 1 - z
+    m = unit_root_own_dynamics()
+    assert np.isfinite(cctf(m, "X", "Y", (), 4).values).all()
+    with pytest.raises(SingularAtFrequencyError):
+        cctf(m, "Y", "X", (), 4)
+
+
 # -- trek rule in frequency domain ----------------------------------------------
 
 
@@ -271,6 +292,18 @@ def test_trek_sum_matches_spectrum(graph_a, graph_b, instrument_model):
                 for trek in enumerate_treks(proj, v, w):
                     total += trek_monomial_function(m, trek, s.omegas)
                 assert np.abs(total - s.entry(v, w)).max() < 1e-10
+
+
+def test_trek_sum_matches_spectrum_through_a_latent_chain():
+    # L2 -> L1 makes the latent block's spectrum a solve, not its internal spectra
+    edges = (("L2", "L1"), ("L1", "X"), ("L1", "Y"), ("L2", "M"), ("X", "M"), ("M", "Y"))
+    m = random_model(np.random.default_rng(3), ("X", "M", "Y"), ("L1", "L2"), edges)
+    proj = latent_projection(process_graph(m))
+    s = spectral_density(m, 64)
+    for v in m.observed:
+        for w in m.observed:
+            total = sum(trek_monomial_function(m, trek, s.omegas) for trek in enumerate_treks(proj, v, w))
+            assert np.abs(total - s.entry(v, w)).max() < 1e-10
 
 
 # -- spectral decomposition -----------------------------------------------------
