@@ -9,9 +9,11 @@ UTF-8, LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,25 +31,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _spectral_lines(values, omega, quantity, row, col) -> Iterator[str]:
+    """The spectral schema, one row per entry of ``values`` in C order.
+
+    The key columns broadcast against ``values``.  Floats are ``repr`` of
+    Python floats, ``modulus`` is ``abs(complex)`` (``numpy.abs`` can differ
+    in the last ulp) and ``phase`` is ``numpy.angle``.
+    """
+    v = np.asarray(values, dtype=complex).ravel()
+    keys = [np.broadcast_to(key, np.shape(values)).ravel().tolist() for key in (omega, quantity, row, col)]
+    yield SPECTRAL_HEADER
+    for w, q, r, c, z, phase in zip(*keys, v.tolist(), np.angle(v).tolist()):
+        yield f"{w!r},{q},{r},{c},{z.real!r},{z.imag!r},{abs(z)!r},{phase!r}"
 
 
-def _spectral_rows(omega: float, quantity: str, row: str, col: str, value: complex) -> str:
-    mod = abs(value)
-    phase = float(np.angle(value))
-    return ",".join(
-        [_fmt(omega), quantity, row, col, _fmt(value.real), _fmt(value.imag), _fmt(mod), _fmt(phase)]
-    )
+def _lag_lines(values, lag, row, col) -> Iterator[str]:
+    """The ``lag,row,col,value`` schema, one row per entry of real ``values`` in C order;
+    the key columns broadcast against ``values``."""
+    keys = [np.broadcast_to(key, np.shape(values)).ravel().tolist() for key in (lag, row, col)]
+    yield "lag,row,col,value"
+    for tau, r, c, x in zip(*keys, np.ravel(values).tolist()):
+        yield f"{tau},{r},{c},{x!r}"
+
+
+_EMIT_BATCH = 4096  # lines per write: fills a 64 KiB pipe with rows of any CSV schema
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream ``lines`` to ``output`` (stdout when None), each ended by LF.
+
+    Lines go out in batches because a write per line reaches a reading pipe
+    in 8 KiB pieces, and the reader then holds many small chunks, which
+    raises its peak memory.
+    """
+    lines = iter(lines)
+    sink = open(output, "w", encoding="utf-8", newline="\n") if output else contextlib.nullcontext(sys.stdout)
+    with sink as handle:
+        while batch := list(itertools.islice(lines, _EMIT_BATCH)):
+            handle.write("\n".join(batch) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -80,69 +101,48 @@ def _cmd_transfer(args) -> int:
     else:
         values = spectral.cctf(m, args.source, args.target, _split(args.controls), omegas).scalar_values()
         quantity = "CCTF"
-    lines = [SPECTRAL_HEADER]
-    for w, v in zip(omegas, values):
-        lines.append(_spectral_rows(w, quantity, args.source, args.target, complex(v)))
-    _emit(lines, args.output)
+    _emit(_spectral_lines(values, omegas, quantity, args.source, args.target), args.output)
     return 0
 
 
-def _matrix_rows(omegas: np.ndarray, labels: Sequence[str], values: np.ndarray) -> list[str]:
-    lines = [SPECTRAL_HEADER]
-    for i, w in enumerate(omegas):
-        for a, row in enumerate(labels):
-            for b, col in enumerate(labels):
-                lines.append(_spectral_rows(w, "S", row, col, complex(values[i, a, b])))
-    return lines
+def _matrix_lines(s) -> Iterator[str]:
+    """S rows of a spectral matrix or Welch estimate."""
+    omega, row, col = np.ix_(s.omegas, s.labels, s.labels)
+    return _spectral_lines(s.values, omega, "S", row, col)
 
 
 def _cmd_spectral(args) -> int:
-    s = spectral.spectral_density(model.load_model(args.model), args.grid)
-    _emit(_matrix_rows(s.omegas, s.labels, s.values), args.output)
+    _emit(_matrix_lines(spectral.spectral_density(model.load_model(args.model), args.grid)), args.output)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     m = model.load_model(args.model)
-    lines = [SPECTRAL_HEADER]
-
-    def factor_rows(dec, source=None):
-        for i, w in enumerate(dec.omegas):
-            for name in ("causal", "confounding", "residual"):
-                quantity, row = (name, args.ancestor) if source is None else (f"source:{source}", name)
-                lines.append(_spectral_rows(w, quantity, row, args.target, complex(getattr(dec, name)[i])))
-
     if args.by_source:
         split = spectral.decompose_by_source(m, args.ancestor, args.target, args.grid)
-        factor_rows(split.total)
-        for source, dec in split.sources.items():
-            factor_rows(dec, source)
+        decs, sources = [split.total, *split.sources.values()], list(split.sources)
     else:
-        dec = spectral.decompose_spectrum(m, args.ancestor, args.target, args.grid)
-        factor_rows(dec)
-    _emit(lines, args.output)
+        decs, sources = [spectral.decompose_spectrum(m, args.ancestor, args.target, args.grid)], []
+    # blocks (total, then one per source) x omega x factor
+    factors = ["causal", "confounding", "residual"]
+    values = np.array([[getattr(dec, name) for name in factors] for dec in decs]).transpose(0, 2, 1)
+    quantity = np.array([factors] + [[f"source:{source}"] * 3 for source in sources])[:, None, :]
+    row = np.array([[args.ancestor] * 3] + [factors] * len(sources))[:, None, :]
+    _emit(_spectral_lines(values, decs[0].omegas[:, None], quantity, row, args.target), args.output)
     return 0
 
 
 def _cmd_acs(args) -> int:
     m = model.load_model(args.model)
     acs = filters.acs_via_sep(m, L_acs=args.lags, L_filter=args.filter_lags)
-    lines = ["lag,row,col,value"]
-    for tau in range(acs.max_lag + 1):
-        for a, row in enumerate(acs.labels):
-            for b, col in enumerate(acs.labels):
-                lines.append(f"{tau},{row},{col},{_fmt(acs.values[tau, a, b])}")
-    _emit(lines, args.output)
+    _emit(_lag_lines(acs.values, *np.ix_(range(acs.max_lag + 1), acs.labels, acs.labels)), args.output)
     return 0
 
 
 def _cmd_ccf(args) -> int:
     m = model.load_model(args.model)
     eff = filters.ccf(m, args.source, args.target, _split(args.controls), L=args.lags)
-    lines = ["lag,row,col,value"]
-    for s in range(eff.start, eff.end + 1):
-        lines.append(f"{s},{args.source},{args.target},{_fmt(eff.scalar_at(s))}")
-    _emit(lines, args.output)
+    _emit(_lag_lines(eff.scalar_values(), range(eff.start, eff.end + 1), args.source, args.target), args.output)
     return 0
 
 
@@ -151,10 +151,8 @@ def _cmd_simulate(args) -> int:
     traj = run_simulation(m, T=args.length, seed=args.seed, burn_in=args.burn_in)
     labels = traj.labels if args.include_latents else traj.labels[: traj.n_observed]
     data = traj.values if args.include_latents else traj.observed()
-    lines = ["t," + ",".join(labels)]
-    for t in range(traj.length):
-        lines.append(str(t) + "," + ",".join(_fmt(v) for v in data[t]))
-    _emit(lines, args.output)
+    rows = zip(map(str, range(traj.length)), *(map(repr, column) for column in data.T.tolist()))
+    _emit(itertools.chain(["t," + ",".join(labels)], map(",".join, rows)), args.output)
     return 0
 
 
@@ -180,7 +178,7 @@ def _cmd_estimate(args) -> int:
     est = welch_spectrum(
         traj, segment_len=args.segment_len, overlap=args.overlap, grid=args.grid
     )
-    _emit(_matrix_rows(est.omegas, est.labels, est.values), args.output)
+    _emit(_matrix_lines(est), args.output)
     return 0
 
 
@@ -192,14 +190,20 @@ def _read_spectral_csv(path: str) -> spectral.SpectralMatrix:
         header = handle.readline().strip()
         if header != SPECTRAL_HEADER:
             raise SchemaError("unexpected spectral CSV header")
-        for line in handle:
-            parts = line.strip().split(",")
-            if len(parts) != 8 or parts[1] != "S":
+        for line in map(str.strip, handle):
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise SchemaError(f"spectral CSV row {line!r} has {len(parts)} fields, not 8")
+            if parts[1] != "S":
                 continue
             try:
                 omega, re, im = float(parts[0]), float(parts[4]), float(parts[5])
             except ValueError:
-                raise SchemaError(f"non-numeric field in spectral CSV row {line.strip()!r}") from None
+                raise SchemaError(f"non-numeric field in spectral CSV row {line!r}") from None
+            if (omega, parts[2], parts[3]) in rows:
+                raise SchemaError(f"spectral CSV repeats the entry {line!r}")
             rows[(omega, parts[2], parts[3])] = complex(re, im)
             labels.setdefault(parts[2], len(labels))
             omegas.setdefault(omega, len(omegas))
@@ -231,15 +235,11 @@ def _cmd_identify(args) -> int:
         fn = identify.identify_frontdoor if args.method == "frontdoor" else identify.identify_instrument
         result = fn(s, labels)  # type: ignore[arg-type]
 
-    lines = [SPECTRAL_HEADER]
-    flagged = {}
-    for (src, dst), values in result.edges.items():
-        for i, w in enumerate(result.omegas):
-            lines.append(_spectral_rows(w, "H", src, dst, complex(values[i])))
-        bad = result.flagged(src, dst)
-        if bad.size:
-            flagged[f"{src}->{dst}"] = bad.tolist()
-    _emit(lines, args.output)
+    edges = np.array(list(result.edges))
+    values = np.array(list(result.edges.values()))
+    _emit(_spectral_lines(values, result.omegas, "H", edges[:, :1], edges[:, 1:]), args.output)
+    flagged = {f"{src}->{dst}": result.flagged(src, dst).tolist() for src, dst in result.edges}
+    flagged = {edge: bad for edge, bad in flagged.items() if bad}
     if flagged:
         print(json.dumps({"patched_grid_indices": flagged}), file=sys.stderr)
     return 0

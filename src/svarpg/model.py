@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SchemaError, SemanticError, SingularContemporaneousError
+from .errors import SchemaError, SemanticError, SingularAtFrequencyError, SingularContemporaneousError
 
 _COND_LIMIT = 1e12
 STABLE_RADIUS = 1.0 - 1e-9  # companion spectral radii below this certify stability
@@ -318,7 +318,8 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     ``stable`` comes from the companion spectral radius.  The loop radius
     max_omega rho(H(omega)) is sampled on ``frequency_grid(grid_size)`` up to
     omega = pi: real coefficients give H(2 pi - omega) = conj H(omega), so
-    the upper half has the same radii.  A non-positive ``grid_size`` is a
+    the upper half has the same radii; it is infinite when an edge function
+    has a pole on that half grid.  A non-positive ``grid_size`` is a
     SemanticError.
     """
     from .spectral import _transfer, frequency_grid
@@ -329,11 +330,11 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     radius_val = 0.0
     if m.order > 0:
         radius_val = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(m)))))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    try:
         h = _transfer(m, frequency_grid(grid_size)[: grid_size // 2 + 1])[0]
-    loop_radius = math.inf
-    if np.isfinite(h).all():
         loop_radius = float(np.abs(np.linalg.eigvals(h)).max())
+    except SingularAtFrequencyError:
+        loop_radius = math.inf
 
     return StabilityReport(
         per_process_auto_sum=auto_sums,

@@ -35,13 +35,24 @@ def _as_omegas(grid: int | np.ndarray) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
+def _nonzero(d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The divisors ``d`` (frequency on axis 0), after raising
+    SingularAtFrequencyError at the first omega where one of them, a 1 - a_j(z),
+    is exactly zero: the edge functions into process j have a pole there."""
+    if not d.all():
+        omega = float(omegas[np.nonzero(d == 0)[0][0]])
+        raise SingularAtFrequencyError(omega, f"a denominator 1 - a_j(z) vanishes at omega={omega:.6g}")
+    return d
+
+
 @dataclass(frozen=True)
 class RationalTransfer:
     """Rational polynomial in z = exp(-i omega), restricted to the unit circle.
 
     ``num[k]`` multiplies z^k; ``den`` starts at 1 and carries the negated
     auto-coefficients of the target process, so the denominator never vanishes
-    on the circle when the per-process stability condition holds.
+    on the circle when the per-process stability condition holds; where it
+    does, ``evaluate`` raises SingularAtFrequencyError.
     """
 
     num: np.ndarray
@@ -52,8 +63,7 @@ class RationalTransfer:
         z = np.exp(-1j * omegas)
         powers = z[:, None] ** np.arange(len(self.den))[None, :]
         num = powers[:, : len(self.num)] @ self.num
-        den = powers @ self.den
-        return num / den
+        return num / _nonzero(powers @ self.den, omegas)
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,8 @@ def edge_transfer(m: SvarModel, v: str, w: str) -> RationalTransfer:
 
 def internal_spectrum(m: SvarModel, v: str, omegas: np.ndarray) -> np.ndarray:
     """Spectral density of the internal dynamics of one process (real, positive)."""
-    _, den = _transfer(m, omegas)
-    return m.noise_var[v] / np.abs(den[:, m._index(v)]) ** 2
+    d = _denominators(m, omegas)[1][:, m._index(v)]
+    return m.noise_var[v] / np.abs(_nonzero(d, omegas)) ** 2
 
 
 def fourier(f: FiniteFilter, grid: int | np.ndarray) -> TransferGrid:
@@ -139,22 +149,27 @@ def fourier(f: FiniteFilter, grid: int | np.ndarray) -> TransferGrid:
     return TransferGrid(omegas=omegas, values=values)
 
 
+def _denominators(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Powers z^k, shape (N, p + 1), and D[:, j] = 1 - sum_k a_j(k) z^k, shape (N, n)."""
+    powers = np.exp(-1j * omegas)[:, None] ** np.arange(m.order + 1)[None, :]
+    den = -np.diagonal(m.Phi, axis1=1, axis2=2)
+    den[0] = 1.0
+    return powers, powers @ den
+
+
 def _transfer(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge transfer functions H(omega) over all processes and the denominators D(omega).
 
     ``H[:, i, j]`` is ``edge_transfer(m, processes[i], processes[j])`` on the
     grid, evaluated only at edge-mask positions and exactly zero elsewhere;
     ``D[:, j] = 1 - sum_k a_j(k) z^k`` carries the auto-dependencies of
-    process j.  Shapes (N, n, n) and (N, n).
+    process j.  Shapes (N, n, n) and (N, n).  A zero D of a process that some
+    edge enters is a SingularAtFrequencyError.
     """
-    z = np.exp(-1j * omegas)
-    powers = z[:, None] ** np.arange(m.order + 1)[None, :]
-    den = -np.diagonal(m.Phi, axis1=1, axis2=2)
-    den[0] = 1.0
-    d = powers @ den
+    powers, d = _denominators(m, omegas)
     rows, cols = np.nonzero(m._edge_mask)
     h = np.zeros((len(omegas), m.n_processes, m.n_processes), dtype=complex)
-    h[:, rows, cols] = (powers @ m.Phi[:, rows, cols]) / d[:, cols]
+    h[:, rows, cols] = (powers @ m.Phi[:, rows, cols]) / _nonzero(d[:, cols], omegas)
     return h, d
 
 
@@ -219,7 +234,7 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     (its internal spectra when no latent drives another).
     """
     h, d = _transfer(m, omegas)
-    internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(d) ** 2
+    internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(_nonzero(d, omegas)) ** 2
     s_int = internal[:, :, None] * np.eye(m.n_processes)
     n = m.n_observed
     s_li = s_int[:, :n, :n]

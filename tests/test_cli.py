@@ -299,6 +299,8 @@ def test_identify_from_spectrum_csv_matches_model_bytes(tmp_path, capsys, grid):
 MALFORMED_CSV = {
     "spectrum_missing_entry": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X,Y,1.0,0.0,1.0,0.0"),
     "spectrum_non_numeric": (SPECTRAL_HEADER, "0.0,S,X,X,one,0.0,1.0,0.0"),
+    "spectrum_repeated_entry": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X,X,5.0,0.0,5.0,0.0"),
+    "spectrum_short_row": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X"),
     "series_non_numeric": ("t,X,Y", "0,1.0,2.0", "1,1.0,abc"),
     "series_ragged_row": ("t,X,Y", "0,1.0,2.0", "1,1.0"),
 }
@@ -329,6 +331,16 @@ def test_unit_root_in_own_dynamics_prints_finite_rows(tmp_path, capsys, argv):
     assert code == 0
     assert err == ""
     assert "nan" not in out and len(out.splitlines()) > 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_transfer_edge_at_a_pole_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(unit_root_own_dynamics().to_json())
+    code, out, err = _run(capsys, "transfer", str(path), "--from", "Y", "--to", "X", "--edge", "--grid", "4")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SingularAtFrequencyError"
 
 
 def test_transfer_edge_flag(capsys, graph_a):

@@ -6,11 +6,13 @@ depend on the number of BLAS threads.  The ``validate``, ``ccf``, ``acs``,
 ``simulate``, ``estimate`` and ``transfer --edge`` paths only read model
 coefficients or data and keep the order of floating-point operations, so no
 refactor may move them by one ulp.  The ``spectral``, ``transfer``,
-``decompose`` and ``identify`` files carry the rounding of the frequency
+``decompose`` and both ``identify`` files carry the rounding of the frequency
 engine's per-frequency solve; regenerate a file only for an intended change
 of its numbers, and record the largest deviation that the change caused.
-``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
-fixtures/graph_b.json --length 512 --seed 5``.
+``identify_unconfounded_graph_b_Y_64.csv`` pins a multi-edge ``identify``
+(M, X and Z -> Y).  ``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
+fixtures/graph_b.json --length 512 --seed 5`` and pins the observed-only
+``simulate`` path.  Every file under ``tests/golden/`` is named by a case.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ CASES = [
         "identify_instrument_64.csv",
         ["identify", "instrument.json", "--method", "instrument", "--labels", "X,M,Y", "--grid", "64"],
     ),
+    (
+        "identify_unconfounded_graph_b_Y_64.csv",
+        ["identify", "graph_b.json", "--method", "unconfounded", "--target", "Y", "--grid", "64"],
+    ),
 ]
 
 
@@ -62,3 +68,13 @@ def test_cli_bytes_match_golden(tmp_path, golden, argv):
     sub, model, *flags = argv
     assert run([sub, str(FIXTURES / model), *flags, "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_simulate_observed_only_matches_series_fixture(tmp_path):
+    out = tmp_path / "series.csv"
+    assert run(["simulate", str(FIXTURES / "graph_b.json"), "--length", "512", "--seed", "5", "-o", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "graph_b_series_512_5.csv").read_bytes()
+
+
+def test_every_golden_file_is_named_by_a_case():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(case[0] for case in CASES)

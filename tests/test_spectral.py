@@ -7,7 +7,7 @@ from conftest import ar1, random_model, unit_root_own_dynamics
 from svarpg.errors import LatentPresentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
-from svarpg.model import SvarModel, process_graph
+from svarpg.model import SvarModel, check_stability, process_graph
 from svarpg.spectral import (
     cctf,
     decompose_by_source,
@@ -249,6 +249,44 @@ def test_true_pole_of_a_controlled_effect_is_typed_error():
     assert np.isfinite(cctf(m, "X", "Y", (), 4).values).all()
     with pytest.raises(SingularAtFrequencyError):
         cctf(m, "Y", "X", (), 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_edge_functions_raise_at_a_pole_on_the_grid():
+    # X's own dynamics 1 - z vanish at omega = 0; Y's are 1 everywhere
+    m = unit_root_own_dynamics()
+    om = frequency_grid(4)
+    assert internal_spectrum(m, "Y", om).tolist() == [1.0, 1.0, 1.0, 1.0]
+    trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X") if t.top == "Y")
+    calls = [
+        lambda: internal_spectrum(m, "X", om),
+        lambda: edge_transfer(m, "Y", "X").evaluate(om),
+        lambda: trek_monomial_function(m, trek, om),
+    ]
+    for call in calls:
+        with pytest.raises(SingularAtFrequencyError) as exc:
+            call()
+        assert exc.value.omega == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_pole_check_reads_only_the_divisors_in_use():
+    # X's own 1 - z vanishes at omega = 0, but no edge enters X
+    m = SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=1,
+        coeffs={("X", "X", 1): 1.0, ("X", "Y", 1): 0.5},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+    om = frequency_grid(4)
+    assert np.isfinite(edge_transfer(m, "X", "Y").evaluate(om)).all()
+    assert internal_spectrum(m, "Y", om).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert check_stability(m).loop_spectral_radius == 0.0
+    # X's internal spectrum itself is still a divisor in the trek rule
+    trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X"))
+    with pytest.raises(SingularAtFrequencyError):
+        trek_monomial_function(m, trek, om)
 
 
 # -- trek rule in frequency domain ----------------------------------------------
