@@ -428,23 +428,19 @@ def trek_monomial_filter(m: SvarModel, trek: Trek, L: int = 128) -> FiniteFilter
     """Scalar two-sided covariance contribution of one trek.
 
     Convolves the left path filter with the relevant projected-noise entry and
-    tilted-convolves with the right path filter.
+    tilted-convolves with the right path filter.  The projected noise
+    covariance and the edge filter tensor depend on ``m`` and ``L`` only: they
+    are built once and kept on the model for the last ``L``, and each path
+    filter convolves slices of that tensor.
     """
-    noise = projected_noise_acs(m, L)
-    if trek.bidirected is None:
-        i = j = m.observed.index(trek.top)
-    else:
-        i = m.observed.index(trek.bidirected[0])
-        j = m.observed.index(trek.bidirected[1])
-    middle = noise.entry(i, j)
+    noise, edges = m._cached("trek_filter", L, lambda: (projected_noise_acs(m, L), _edge_filters(m, L)))
+    middle = noise.entry(*(m.observed.index(v) for v in trek.bidirected or (trek.top, trek.top)))
 
-    left = _path_filter(m, trek.left, L)
-    right = _path_filter(m, trek.right, L)
-    return convolve(left, tilted_convolve(middle, right))
+    def path_filter(path) -> FiniteFilter:
+        out = FiniteFilter.unit(1)
+        for src, dst in path.edge_list():
+            v, w = m._index(src), m._index(dst)
+            out = convolve(out, FiniteFilter(start=0, values=edges[:, v : v + 1, w : w + 1])).truncate(0, L)
+        return out
 
-
-def _path_filter(m: SvarModel, path, L: int) -> FiniteFilter:
-    out = FiniteFilter.unit(1)
-    for src, dst in path.edge_list():
-        out = convolve(out, direct_effect_filter(m, src, dst, L)).truncate(0, L)
-    return out
+    return convolve(path_filter(trek.left), tilted_convolve(middle, path_filter(trek.right)))

@@ -10,7 +10,9 @@ The sparse ``coeffs`` map is the input and serialisation format only.  The
 model densifies it once into the read-only tensor ``Phi`` of shape
 ``(p + 1, n, n)`` with ``Phi[k, i, j] = phi_{processes[i], processes[j]}(k)``,
 plus an edge mask (nonzero at some lag, diagonal excluded); every
-computation, matrix and graph view reads those two arrays.
+computation, matrix and graph view reads those two arrays.  The model is
+immutable (read-only ``coeffs`` and ``noise_var`` copies), so ``_cached``
+may keep results derived from it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,9 +40,10 @@ class SvarModel:
         latents: ordered latent process names.
         order: maximum lag p (>= 0).
         coeffs: sparse map (from, to, lag) -> coefficient; absent means zero.
+            Stored as a read-only copy of the given mapping.
         noise_var: innovation variance per process (>= 0; the JSON schema
             requires strictly positive values, the in-memory type tolerates
-            zero for degenerate simulation cases).
+            zero for degenerate simulation cases).  Stored read-only too.
         Phi: read-only dense coefficients, shape (order + 1, n, n), with
             Phi[k, i, j] the coefficient of processes[i] -> processes[j] at
             lag k; built from ``coeffs`` on construction.
@@ -52,8 +56,11 @@ class SvarModel:
     noise_var: Mapping[str, float]
     Phi: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        object.__setattr__(self, "noise_var", MappingProxyType(dict(self.noise_var)))
         names = self.observed + self.latents
         if len(set(names)) != len(names):
             raise SemanticError("duplicate process names")
@@ -86,6 +93,14 @@ class SvarModel:
         mask.flags.writeable = False
         object.__setattr__(self, "Phi", phi)
         object.__setattr__(self, "_edge_mask", mask)
+        object.__setattr__(self, "_memo", {})
+
+    def _cached(self, slot: str, key, build: Callable[[], object]):
+        """``build()``, kept in ``slot`` for the last ``key``; a raise stores nothing."""
+        held = self._memo.get(slot)
+        if held is None or held[0] != key:
+            held = self._memo[slot] = (key, build())
+        return held[1]
 
     # -- structure accessors -------------------------------------------------
 

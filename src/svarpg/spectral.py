@@ -11,15 +11,16 @@ Frequency grids are equispaced on [0, 2pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import LatentPresentError, SemanticError, SingularAtFrequencyError
-from .filters import FiniteFilter
+from .filters import FiniteFilter, _certify
 from .graph import DirectedPath, Trek, cycle_basis, enumerate_paths
-from .model import SvarModel, process_graph
+from .model import SvarModel, companion_matrix, process_graph
 
 
 def frequency_grid(n: int) -> np.ndarray:
@@ -134,8 +135,9 @@ def edge_transfer(m: SvarModel, v: str, w: str) -> RationalTransfer:
     return RationalTransfer(num=num, den=den)
 
 
-def internal_spectrum(m: SvarModel, v: str, omegas: np.ndarray) -> np.ndarray:
+def internal_spectrum(m: SvarModel, v: str, omegas: int | np.ndarray) -> np.ndarray:
     """Spectral density of the internal dynamics of one process (real, positive)."""
+    omegas = _as_omegas(omegas)
     d = _denominators(m, omegas)[1][:, m._index(v)]
     return m.noise_var[v] / np.abs(_nonzero(d, omegas)) ** 2
 
@@ -250,7 +252,9 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def spectral_density(m: SvarModel, grid: int | np.ndarray = 256) -> SpectralMatrix:
     """Analytic spectral density of the observed processes: S = X X^H on the
     observed rows of X = M(omega)^{-T} diag(sigma), one solve over all processes
-    (latents receive no observed edges), no denominators."""
+    (latents receive no observed edges), no denominators.  It exists only for a
+    stationary VAR: a companion radius of one or more is a NonConvergentError."""
+    _certify(companion_matrix(m), "no stationary spectrum: companion radius")
     omegas = _as_omegas(grid)
     x = _noise_factor(m, omegas)[:, : m.n_observed]
     return SpectralMatrix(labels=m.observed, omegas=omegas, values=_gram(x))
@@ -330,18 +334,21 @@ def freq_path_rule_check(
 
 
 def trek_monomial_function(m: SvarModel, trek: Trek, grid: int | np.ndarray = 256) -> np.ndarray:
-    """Per-frequency contribution of one trek to the cross spectrum."""
+    """Per-frequency contribution of one trek to the cross spectrum.
+
+    The observed edge transfers H and S_LI of ``_assemble`` depend on ``m``
+    and the grid only: they are built once and kept on the model for the last
+    grid, and each path product multiplies entries of that H.
+    """
     omegas = _as_omegas(grid)
-    _, s_li = _assemble(m, omegas)
-    if trek.bidirected is None:
-        i = j = m.observed.index(trek.top)
-    else:
-        i = m.observed.index(trek.bidirected[0])
-        j = m.observed.index(trek.bidirected[1])
-    middle = s_li[:, i, j]
-    left = path_transfer(m, trek.left, omegas)
-    right = path_transfer(m, trek.right, omegas)
-    return left * middle * np.conj(right)
+    h, s_li = m._cached("trek_function", omegas.tobytes(), lambda: _assemble(m, omegas))
+    i, j = (m.observed.index(v) for v in trek.bidirected or (trek.top, trek.top))
+
+    def path_product(path) -> np.ndarray:
+        edges = (h[:, m.observed.index(src), m.observed.index(dst)] for src, dst in path.edge_list())
+        return math.prod(edges, start=np.ones(len(omegas), dtype=complex))
+
+    return path_product(trek.left) * s_li[:, i, j] * np.conj(path_product(trek.right))
 
 
 def decompose_spectrum(

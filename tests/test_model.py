@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -92,6 +93,26 @@ def test_parse_rejects_bad_json():
 def test_serialize_round_trip(graph_b):
     again = parse_model(graph_b.to_json())
     assert again == graph_b
+
+
+def test_model_mappings_are_read_only_snapshots():
+    coeffs = {("X", "X", 1): 0.5, ("X", "Y", 1): 0.3}
+    noise_var = {"X": 1.0, "Y": 2.0}
+    m = SvarModel(observed=("X", "Y"), latents=(), order=1, coeffs=coeffs, noise_var=noise_var)
+    with pytest.raises(TypeError):
+        m.noise_var["X"] = 4.0
+    with pytest.raises(TypeError):
+        m.coeffs[("X", "Y", 1)] = 9.0
+    coeffs[("X", "Y", 1)] = 9.0  # the caller's dicts were copied
+    noise_var["X"] = 4.0
+    assert m.coeffs[("X", "Y", 1)] == m.phi("X", "Y", 1) == 0.3
+    assert m.noise_var["X"] == 1.0
+    assert json.loads(m.to_json())["noise_var"] == {"X": 1.0, "Y": 2.0}
+    m._cached("slot", 0, lambda: "kept")
+    louder = dataclasses.replace(m, noise_var={**m.noise_var, "X": 4.0})
+    assert louder.noise_var["X"] == 4.0 and m.noise_var["X"] == 1.0
+    assert louder._memo == {} and m._memo == {"slot": (0, "kept")}
+    assert louder.coeffs == m.coeffs and louder == dataclasses.replace(m, noise_var={"X": 4.0, "Y": 2.0})
 
 
 def test_stability_graph_c(graph_c):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ar1, random_model, unit_root_own_dynamics
-from svarpg.errors import LatentPresentError, SemanticError, SingularAtFrequencyError
+from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
 from svarpg.model import SvarModel, check_stability, process_graph
@@ -224,10 +224,24 @@ def test_singular_frequency_is_typed_error():
         noise_var={"A": 1.0, "B": 1.0},
     )
     cctf(m, "A", "B", (), 8)  # cutting the edges into A removes the loop
-    with pytest.raises(SingularAtFrequencyError):
+    with pytest.raises(NonConvergentError):  # companion radius 1: no stationary spectrum
         spectral_density(m, 8)
     with pytest.raises(SingularAtFrequencyError):
         freq_path_rule_check(m, "A", "B", 8)
+
+
+def test_spectral_density_needs_a_stationary_var():
+    # 1 / |1 - 1.49 z|^2 is finite and positive on the circle, but an AR(1)
+    # with coefficient 1.49 has no stationary solution, so it is no spectrum
+    for a in (1.49, 1.0):
+        with pytest.raises(NonConvergentError):
+            spectral_density(ar1(a), 8)
+        with pytest.raises(NonConvergentError):
+            decompose_spectrum(
+                SvarModel(("X", "Y"), (), 1, {("X", "X", 1): a, ("X", "Y", 1): 0.5}, {"X": 1.0, "Y": 1.0}), "X", "Y", 8
+            )
+    expected = 1.0 / np.abs(1.0 - 0.5 * np.exp(-1j * frequency_grid(4))) ** 2
+    np.testing.assert_allclose(spectral_density(ar1(0.5), 4).values[:, 0, 0], expected, rtol=1e-14)
 
 
 @pytest.mark.filterwarnings("error")
@@ -257,9 +271,11 @@ def test_edge_functions_raise_at_a_pole_on_the_grid():
     m = unit_root_own_dynamics()
     om = frequency_grid(4)
     assert internal_spectrum(m, "Y", om).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert internal_spectrum(m, "Y", 4).tolist() == [1.0, 1.0, 1.0, 1.0]  # an int grid
     trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X") if t.top == "Y")
     calls = [
         lambda: internal_spectrum(m, "X", om),
+        lambda: internal_spectrum(m, "X", 4),
         lambda: edge_transfer(m, "Y", "X").evaluate(om),
         lambda: trek_monomial_function(m, trek, om),
     ]
