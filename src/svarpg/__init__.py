@@ -15,7 +15,6 @@ from .errors import (
     SingularContemporaneousError,
     SvarpgError,
     TooShortError,
-    WindowTooSmallError,
 )
 from .filters import (
     AcsSequence,

@@ -28,12 +28,8 @@ class SelfPairError(SvarpgError):
 
 
 class NonConvergentError(SvarpgError):
-    """A filter series has no convergence certificate: rho(Lambda_0) >= 1 or
-    a companion spectral radius is not below one."""
-
-
-class WindowTooSmallError(SvarpgError):
-    """The materialized time window cannot contain all relevant paths."""
+    """A filter series or a spectrum has no certificate that it exists:
+    rho(Lambda_0) >= 1 or a companion spectral radius is not below one."""
 
 
 class SingularAtFrequencyError(SvarpgError):

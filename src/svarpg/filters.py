@@ -8,7 +8,8 @@ entries lose relative accuracy, while an entry that pairs only all-zero
 series stays exactly 0.  The filter series (I - Lambda)^{-1} of a block is
 exact on lags 0..L (finite order-p recursion of (I - Phi(z))^{-1}) behind a
 certificate: rho(Lambda_0) < 1 and a block companion radius below one.  Noise
-covariances also need stable internal dynamics.  The MA(infinity) covariance
+covariances exist only for stable internal dynamics (``model._certify_own``,
+the certificate the frequency domain shares).  The MA(infinity) covariance
 is the companion Lyapunov solution (Smith's doubling, run to convergence).
 Covariance sequences stop at an explicit lag horizon with a tail estimate.
 """
@@ -29,8 +30,9 @@ from .errors import (
 )
 from .graph import Trek
 from .model import (
-    STABLE_RADIUS,
     SvarModel,
+    _certify,
+    _certify_own,
     companion_matrix,
     contemporaneous_solve_matrix,
     phi_companion,
@@ -118,10 +120,6 @@ class FiniteFilter:
                 src_lo - self.start : src_hi - self.start + 1
             ]
         return FiniteFilter(start=lo, values=out)
-
-    def total(self) -> np.ndarray:
-        """Sum over the whole support (the transfer function at frequency zero)."""
-        return self.values.sum(axis=0)
 
 
 def _lag_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,14 +212,6 @@ def lambda_matrix(m: SvarModel, L: int) -> FiniteFilter:
     return FiniteFilter(start=0, values=_edge_filters(m, L)[:, :n, :n])
 
 
-def _certify(a: np.ndarray, what: str) -> float:
-    """Spectral radius of ``a``; NonConvergentError unless it is below STABLE_RADIUS."""
-    rho = float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
-    if rho >= STABLE_RADIUS:
-        raise NonConvergentError(f"{what} {rho:.4g} >= 1")
-    return rho
-
-
 def _filter_series(m: SvarModel, L: int, block: slice, cut: Iterable[int] = ()) -> np.ndarray:
     """Exact (I - Lambda)^{-1} on lags 0..L, Lambda the edge filters among
     ``m.processes[block]`` without the edges into the block positions ``cut``.
@@ -255,6 +245,19 @@ def lambda_infinity(m: SvarModel, L: int = 128) -> FiniteFilter:
     return FiniteFilter(start=0, values=_filter_series(m, L, slice(None, m.n_observed)))
 
 
+def _cut(m: SvarModel, x: str, y: str, controls: Iterable[str]) -> list[int]:
+    """Observed-block positions of x and the controls, whose incoming edges a
+    controlled effect of x on y removes; SemanticError for invalid arguments."""
+    controls = set(controls)
+    if x not in m.observed or y not in m.observed:
+        raise SemanticError("cause and target must be observed processes")
+    if y in controls:
+        raise SemanticError("target cannot be controlled")
+    if not controls <= set(m.observed):
+        raise SemanticError("controls must be observed processes")
+    return [m.observed.index(name) for name in controls | {x}]
+
+
 def ccf(
     m: SvarModel, x: str, y: str, controls: Iterable[str] = (), L: int = 128
 ) -> FiniteFilter:
@@ -264,14 +267,7 @@ def ccf(
     through a control and never revisit x; computed as the (x, y) entry of the
     filter series of the model with all edges into x and the controls removed.
     """
-    controls = set(controls)
-    if x not in m.observed or y not in m.observed:
-        raise SemanticError("cause and target must be observed processes")
-    if y in controls:
-        raise SemanticError("target cannot be controlled")
-    if not controls <= set(m.observed):
-        raise SemanticError("controls must be observed processes")
-    cut = [m.observed.index(name) for name in controls | {x}]
+    cut = _cut(m, x, y, controls)
     series = FiniteFilter(start=0, values=_filter_series(m, L, slice(None, m.n_observed), cut))
     return series.entry(m.observed.index(x), m.observed.index(y))
 
@@ -343,8 +339,7 @@ def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
     the direct latent contributions.  Off-diagonal entries are exactly the
     latent confounding captured by bidirected edges of the latent projection;
     they exist only when every process's internal dynamics 1 - a_j(z) are stable."""
-    own = m.Phi * np.eye(m.n_processes)  # the auto-dependencies alone
-    _certify(phi_companion(own), "internal dynamics not stable: companion radius")
+    _certify_own(m)
     n = m.n_observed
     out = _internal_acs(m, slice(None, n), L)
     if m.latents:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import SemanticError, WindowTooSmallError
+from .errors import SemanticError
 from .model import SvarModel
 
 
@@ -66,9 +66,6 @@ class LatentProjection:
     def successors(self, v: str) -> list[str]:
         return sorted(dst for src, dst in self.directed if src == v)
 
-    def has_bidirected(self, a: str, b: str) -> bool:
-        return (a, b) in self.bidirected
-
     def bidirected_pairs(self) -> list[tuple[str, str]]:
         """One canonical tuple per bidirected edge."""
         return sorted({tuple(sorted(e)) for e in self.bidirected})
@@ -94,10 +91,6 @@ class DirectedPath:
     @property
     def end(self) -> str:
         return self.vertices[-1]
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.vertices) - 1
 
     @property
     def is_empty(self) -> bool:
@@ -306,15 +299,14 @@ def unrolled_paths(
     y: str,
     controls: Iterable[str] = (),
     s: int = 0,
-    t_window: int | None = None,
 ) -> float:
     """Brute-force controlled effect oracle on the unrolled time-lag graph.
 
-    Materializes the node grid (process, t-window .. t), deletes every edge
+    Materializes the node grid (process, t-s .. t), deletes every edge
     pointing into x or into any control at any time, and sums the coefficient
     products over all directed paths from x at time t-s to y at time t.  The
-    default window of s lags suffices because every edge moves forward in
-    time, so no path can leave it.
+    window of s lags holds every such path, because every edge moves forward
+    in time, and a wider one would give the same sum.
     """
     if s < 0:
         raise SemanticError("lag must be nonnegative")
@@ -322,9 +314,6 @@ def unrolled_paths(
         raise SemanticError(f"unknown process in pair ({x}, {y})")
     if y in set(controls):
         raise SemanticError("target cannot be controlled")
-    window = s if t_window is None else t_window
-    if window < s:
-        raise WindowTooSmallError(f"window {window} cannot reach lag {s}")
     blocked = set(controls) | {x}
 
     live_edges = [
@@ -339,20 +328,20 @@ def unrolled_paths(
     for src, dst, lag, val in live_edges:
         out_edges[src].append((dst, lag, val))
 
-    last = window
-    target = (y, last)
+    target = (y, s)
     # value[(name, idx)]: sum over paths from that node to y(t) of coefficient
-    # products; the empty path contributes 1 at the target itself.
+    # products, time index idx standing for t-s+idx; the empty path
+    # contributes 1 at the target itself.
     value: dict[tuple[str, int], float] = {}
-    for idx in range(last, -1, -1):
+    for idx in range(s, -1, -1):
         for name in reversed(topo):
             acc = 1.0 if (name, idx) == target else 0.0
             for dst, lag, coeff in out_edges[name]:
                 nxt = idx + lag
-                if nxt <= last:
+                if nxt <= s:
                     acc += coeff * value.get((dst, nxt), 0.0)
             value[(name, idx)] = acc
-    return value[(x, last - s)]
+    return value[(x, 0)]
 
 
 def _topological_order(names: tuple[str, ...], edges: set) -> list[str]:

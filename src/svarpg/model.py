@@ -25,7 +25,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import SchemaError, SemanticError, SingularAtFrequencyError, SingularContemporaneousError
+from .errors import (
+    NonConvergentError,
+    SchemaError,
+    SemanticError,
+    SingularAtFrequencyError,
+    SingularContemporaneousError,
+)
 
 _COND_LIMIT = 1e12
 STABLE_RADIUS = 1.0 - 1e-9  # companion spectral radii below this certify stability
@@ -139,12 +145,6 @@ class SvarModel:
     def cross_coeffs(self, src: str, dst: str) -> np.ndarray:
         """Coefficients phi_{src,dst}(0..p) as a dense vector."""
         return self.Phi[:, self._index(src), self._index(dst)]
-
-    def phi_matrix(self, lag: int) -> np.ndarray:
-        """Dense Phi(lag) with entry [i, j] = phi_{processes[i], processes[j]}(lag)."""
-        if not 0 <= lag <= self.order:
-            return np.zeros(self.Phi.shape[1:])
-        return self.Phi[lag]
 
     def parents(self, name: str) -> tuple[str, ...]:
         """Distinct processes with at least one edge into ``name``."""
@@ -327,6 +327,26 @@ def phi_companion(phi: np.ndarray) -> np.ndarray:
     return comp
 
 
+def _radius(a: np.ndarray) -> float:
+    """Spectral radius of ``a`` (0 for an empty matrix)."""
+    return float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
+
+
+def _certify(a: np.ndarray, what: str) -> float:
+    """``_radius(a)``; NonConvergentError unless it is below STABLE_RADIUS."""
+    rho = _radius(a)
+    if rho >= STABLE_RADIUS:
+        raise NonConvergentError(f"{what} {rho:.4g} >= 1")
+    return rho
+
+
+def _certify_own(m: SvarModel, block: slice = slice(None)) -> None:
+    """NonConvergentError unless the internal dynamics 1 - a_j(z) of every process in
+    ``m.processes[block]`` are stable: only then do internal spectra and covariances exist."""
+    phi = m.Phi[:, block, block]
+    _certify(phi_companion(phi * np.eye(phi.shape[1])), "internal dynamics not stable: companion radius")
+
+
 def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
@@ -342,9 +362,7 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
-    radius_val = 0.0
-    if m.order > 0:
-        radius_val = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(m)))))
+    radius_val = _radius(companion_matrix(m))
     try:
         h = _transfer(m, frequency_grid(grid_size)[: grid_size // 2 + 1])[0]
         loop_radius = float(np.abs(np.linalg.eigvals(h)).max())

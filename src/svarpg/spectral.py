@@ -7,6 +7,11 @@ matrix M(omega) = I - sum_k Phi_k exp(-i omega k) and divide by no 1 - a_j(z):
 S = X X^H with X = M^{-T} diag(sigma).  Spectral densities follow the plain
 Fourier sum of the auto-covariance sequence, with no 1/2pi normalization.
 Frequency grids are equispaced on [0, 2pi).
+
+A spectrum exists only for a stationary process: ``_noise_factor`` certifies
+its block's companion radius and ``model._certify_own`` the internal dynamics
+1 - a_j(z), before any grid point is read (NonConvergentError).  Transfer
+functions stay ungated and raise SingularAtFrequencyError at a pole.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import LatentPresentError, SemanticError, SingularAtFrequencyError
-from .filters import FiniteFilter, _certify
+from .filters import FiniteFilter, _cut
 from .graph import DirectedPath, Trek, cycle_basis, enumerate_paths
-from .model import SvarModel, companion_matrix, process_graph
+from .model import SvarModel, _certify, _certify_own, phi_companion, process_graph
 
 
 def frequency_grid(n: int) -> np.ndarray:
@@ -136,9 +141,12 @@ def edge_transfer(m: SvarModel, v: str, w: str) -> RationalTransfer:
 
 
 def internal_spectrum(m: SvarModel, v: str, omegas: int | np.ndarray) -> np.ndarray:
-    """Spectral density of the internal dynamics of one process (real, positive)."""
+    """Spectral density of the internal dynamics of one process (real, positive);
+    NonConvergentError unless those dynamics 1 - a_v(z) are stable."""
+    i = m._index(v)
+    _certify_own(m, slice(i, i + 1))
     omegas = _as_omegas(omegas)
-    d = _denominators(m, omegas)[1][:, m._index(v)]
+    d = _denominators(m, omegas)[1][:, i]
     return m.noise_var[v] / np.abs(_nonzero(d, omegas)) ** 2
 
 
@@ -210,7 +218,9 @@ def _reduced(m: SvarModel, omegas: np.ndarray, block: slice, cut: Iterable[int] 
 
 def _noise_factor(m: SvarModel, omegas: np.ndarray, block: slice = slice(None)) -> np.ndarray:
     """X = M(omega)^{-T} diag(sigma) over ``m.processes[block]``: column k is
-    the response to source k, and X X^H is the block's spectrum."""
+    the response to source k, and X X^H is the block's spectrum; it exists only
+    for a companion radius below one, even where the solve stays finite."""
+    _certify(phi_companion(m.Phi[:, block, block]), "no stationary spectrum: companion radius")
     a = _reduced(m, omegas, block).transpose(0, 2, 1)
     sigma = np.sqrt([m.noise_var[name] for name in m.processes[block]])
     return _solve(a, np.broadcast_to(np.diag(sigma), a.shape), omegas)
@@ -232,19 +242,17 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Observed edge transfers H and the trek rule's projected noise spectrum S_LI.
 
     S_LI holds the internal spectra of the observed processes on its diagonal
-    plus the latent contribution J^T S_lat J^*, S_lat the latent block's spectrum
-    (its internal spectra when no latent drives another).
+    plus the latent contribution J^T S_lat J^*, S_lat the latent block's spectrum.
+    Like ``projected_noise_acs``, it exists only for stable internal dynamics.
     """
+    _certify_own(m)
     h, d = _transfer(m, omegas)
-    internal = np.array([m.noise_var[name] for name in m.processes]) / np.abs(_nonzero(d, omegas)) ** 2
-    s_int = internal[:, :, None] * np.eye(m.n_processes)
     n = m.n_observed
-    s_li = s_int[:, :n, :n]
+    internal = np.array([m.noise_var[name] for name in m.observed]) / np.abs(_nonzero(d[:, :n], omegas)) ** 2
+    s_li = internal[:, :, None] * np.eye(n)
     if m.latents:
         j = h[:, n:, :n]
-        s_lat = s_int[:, n:, n:]
-        if m._edge_mask[n:, n:].any():  # latents driving each other
-            s_lat = _gram(_noise_factor(m, omegas, slice(n, None)))
+        s_lat = _gram(_noise_factor(m, omegas, slice(n, None)))
         s_li = s_li + np.einsum("wdi,wde,wej->wij", j, s_lat, np.conj(j))
     return h[:, :n, :n], s_li
 
@@ -254,7 +262,6 @@ def spectral_density(m: SvarModel, grid: int | np.ndarray = 256) -> SpectralMatr
     observed rows of X = M(omega)^{-T} diag(sigma), one solve over all processes
     (latents receive no observed edges), no denominators.  It exists only for a
     stationary VAR: a companion radius of one or more is a NonConvergentError."""
-    _certify(companion_matrix(m), "no stationary spectrum: companion radius")
     omegas = _as_omegas(grid)
     x = _noise_factor(m, omegas)[:, : m.n_observed]
     return SpectralMatrix(labels=m.observed, omegas=omegas, values=_gram(x))
@@ -275,15 +282,8 @@ def cctf(
     The grid must keep rho(H(omega)) below one for the result to agree with
     the path series.
     """
-    controls = set(controls)
-    if x not in m.observed or y not in m.observed:
-        raise SemanticError("cause and target must be observed processes")
-    if y in controls:
-        raise SemanticError("target cannot be controlled")
-    if not controls <= set(m.observed):
-        raise SemanticError("controls must be observed processes")
+    cut = _cut(m, x, y, controls)
     omegas = _as_omegas(grid)
-    cut = [m.observed.index(name) for name in controls | {x}]
     a = _reduced(m, omegas, slice(None, m.n_observed), cut)
     values = _inverse_entry(a, m.observed.index(x), m.observed.index(y), omegas)
     return TransferGrid(omegas=omegas, values=values[:, None, None])
@@ -377,7 +377,6 @@ def _decompose_from(
     causal = (np.abs(ctf) ** 2) * s_anc
     confounding = 2.0 * np.real(ctf * cross) - 2.0 * causal
     residual = s_tgt - causal - confounding
-    assert causal.min() >= -1e-12
     return SpectralDecomposition(
         ancestor=ancestor,
         target=target,

@@ -86,6 +86,20 @@ def unit_root_own_dynamics() -> SvarModel:
     )
 
 
+def unit_circle_own_dynamics() -> SvarModel:
+    """X -> X 1.0 at lag 1 and -1.0 at lag 2, X -> Y 0.5 and Y -> X 1.0 at
+    lag 1: the VAR is stable (companion radius 0.707), but X's own dynamics
+    1 - z + z^2 have their roots on the unit circle at omega = +-pi/3, which
+    are no points of a 4-point grid."""
+    return SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=2,
+        coeffs={("X", "X", 1): 1.0, ("X", "X", 2): -1.0, ("X", "Y", 1): 0.5, ("Y", "X", 1): 1.0},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+
+
 def _scaled_autos(rng: np.random.Generator, name: str, order: int, budget: float) -> dict:
     lags = rng.choice(np.arange(1, order + 1), size=min(2, order), replace=False)
     raw = rng.uniform(-1.0, 1.0, size=len(lags))

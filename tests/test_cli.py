@@ -231,6 +231,31 @@ def test_acs_with_explosive_internal_dynamics_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "NonConvergentError"
 
 
+DECOMPOSE = ["decompose", "--ancestor", "X", "--target", "Y"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectral"], DECOMPOSE, DECOMPOSE + ["--by-source"]], ids=["spectral", "decompose", "by_source"]
+)
+def test_non_stationary_model_exits_2(tmp_path, capsys, argv):
+    # X's AR(1) coefficient 1.49 leaves the VAR without a stationary spectrum
+    doc = {
+        "observed": ["X", "Y"],
+        "order": 1,
+        "edges": [
+            {"from": "X", "to": "X", "lag": 1, "coeff": 1.49},
+            {"from": "X", "to": "Y", "lag": 1, "coeff": 0.5},
+        ],
+        "noise_var": {"X": 1.0, "Y": 1.0},
+    }
+    path = tmp_path / "explosive.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--grid", "4")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NonConvergentError"
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys, graph_a):
     series = tmp_path / "series.csv"
     code, _, _ = _run(

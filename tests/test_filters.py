@@ -371,11 +371,15 @@ def test_ccf_blocked_mediator_is_zero(graph_a):
     assert np.allclose(eff.scalar_values(), 0.0)
 
 
-def test_ccf_rejects_controlled_target(graph_a):
-    from svarpg.errors import SemanticError
-
+@pytest.mark.parametrize("effect", [ccf, cctf])
+@pytest.mark.parametrize(
+    "x, y, controls",
+    [("X", "Y", ("Y",)), ("L", "Y", ()), ("X", "Y", ("L",))],
+    ids=["controlled_target", "latent_cause", "latent_control"],
+)
+def test_controlled_effects_reject_invalid_arguments(instrument_model, effect, x, y, controls):
     with pytest.raises(SemanticError):
-        ccf(graph_a, "X", "Y", ("Y",))
+        effect(instrument_model, x, y, controls)
 
 
 def test_effect_total_matches_zero_frequency(graph_a):

@@ -190,13 +190,6 @@ def test_unrolled_contemporaneous_chain():
     assert unrolled_paths(m, "A", "C", ("B",), 0) == 0.0
 
 
-def test_unrolled_window_guard(graph_a):
-    from svarpg.errors import WindowTooSmallError
-
-    with pytest.raises(WindowTooSmallError):
-        unrolled_paths(graph_a, "X", "Y", (), s=4, t_window=2)
-
-
 def test_unrolled_matches_ccf(graph_a, graph_b, feedback_mediator):
     cases = [
         (graph_a, "X", "Y", ()),

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ar1, random_model, unit_root_own_dynamics
+from conftest import ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
 from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
@@ -236,10 +236,10 @@ def test_spectral_density_needs_a_stationary_var():
     for a in (1.49, 1.0):
         with pytest.raises(NonConvergentError):
             spectral_density(ar1(a), 8)
-        with pytest.raises(NonConvergentError):
-            decompose_spectrum(
-                SvarModel(("X", "Y"), (), 1, {("X", "X", 1): a, ("X", "Y", 1): 0.5}, {"X": 1.0, "Y": 1.0}), "X", "Y", 8
-            )
+        m = SvarModel(("X", "Y"), (), 1, {("X", "X", 1): a, ("X", "Y", 1): 0.5}, {"X": 1.0, "Y": 1.0})
+        for decompose in (decompose_spectrum, decompose_by_source):
+            with pytest.raises(NonConvergentError):
+                decompose(m, "X", "Y", 8)
     expected = 1.0 / np.abs(1.0 - 0.5 * np.exp(-1j * frequency_grid(4))) ** 2
     np.testing.assert_allclose(spectral_density(ar1(0.5), 4).values[:, 0, 0], expected, rtol=1e-14)
 
@@ -272,17 +272,32 @@ def test_edge_functions_raise_at_a_pole_on_the_grid():
     om = frequency_grid(4)
     assert internal_spectrum(m, "Y", om).tolist() == [1.0, 1.0, 1.0, 1.0]
     assert internal_spectrum(m, "Y", 4).tolist() == [1.0, 1.0, 1.0, 1.0]  # an int grid
+    with pytest.raises(SingularAtFrequencyError) as exc:
+        edge_transfer(m, "Y", "X").evaluate(om)
+    assert exc.value.omega == 0.0
+    # spectra built on X's own dynamics have no certificate, before any grid point is read
     trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X") if t.top == "Y")
     calls = [
         lambda: internal_spectrum(m, "X", om),
         lambda: internal_spectrum(m, "X", 4),
-        lambda: edge_transfer(m, "Y", "X").evaluate(om),
         lambda: trek_monomial_function(m, trek, om),
     ]
     for call in calls:
-        with pytest.raises(SingularAtFrequencyError) as exc:
+        with pytest.raises(NonConvergentError):
             call()
-        assert exc.value.omega == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_own_dynamics_on_the_circle_between_grid_points_have_no_spectrum():
+    # X's own 1 - z + z^2 vanishes at omega = +-pi/3, off the grid: every
+    # divisor on the grid is finite, so only the certificate can refuse it
+    m = unit_circle_own_dynamics()
+    assert np.isfinite(edge_transfer(m, "Y", "X").evaluate(frequency_grid(4))).all()
+    assert np.isfinite(spectral_density(m, 4).values).all()
+    trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X"))
+    for call in (lambda: internal_spectrum(m, "X", 4), lambda: trek_monomial_function(m, trek, 4)):
+        with pytest.raises(NonConvergentError):
+            call()
 
 
 @pytest.mark.filterwarnings("error")
@@ -299,9 +314,9 @@ def test_pole_check_reads_only_the_divisors_in_use():
     assert np.isfinite(edge_transfer(m, "X", "Y").evaluate(om)).all()
     assert internal_spectrum(m, "Y", om).tolist() == [1.0, 1.0, 1.0, 1.0]
     assert check_stability(m).loop_spectral_radius == 0.0
-    # X's internal spectrum itself is still a divisor in the trek rule
+    # X's own dynamics still enter the trek rule's noise model, which has no certificate
     trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X"))
-    with pytest.raises(SingularAtFrequencyError):
+    with pytest.raises(NonConvergentError):
         trek_monomial_function(m, trek, om)
 
 

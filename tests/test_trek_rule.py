@@ -14,8 +14,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, explosive_target, random_model, unit_root_own_dynamics
-from svarpg.errors import NonConvergentError, SemanticError, SingularAtFrequencyError
+from conftest import (
+    CYCLIC_LATENT_EDGES,
+    FIXTURE_NAMES,
+    FIXTURES,
+    explosive_target,
+    random_model,
+    unit_circle_own_dynamics,
+    unit_root_own_dynamics,
+)
+from svarpg.errors import NonConvergentError, SemanticError
 from svarpg.filters import (
     FiniteFilter,
     convolve,
@@ -124,7 +132,7 @@ def test_a_failed_build_is_raised_again_and_stores_nothing():
     m = unit_root_own_dynamics()  # X's own dynamics 1 - z vanish at omega = 0
     trek = _treks(m)[0]
     for _ in range(2):
-        with pytest.raises(SingularAtFrequencyError):
+        with pytest.raises(NonConvergentError):
             trek_monomial_function(m, trek, 4)
     assert not m._memo
     m = _model("graph_a")
@@ -134,6 +142,29 @@ def test_a_failed_build_is_raised_again_and_stores_nothing():
         with pytest.raises(SemanticError):
             trek_monomial_filter(m, trek, -1)
     _assert_same_filter(trek_monomial_filter(m, trek, 5), kept)
+
+
+UNSTABLE_OWN_DYNAMICS = {
+    "explosive_target": explosive_target,
+    "unit_root_own_dynamics": unit_root_own_dynamics,
+    "unit_circle_own_dynamics": unit_circle_own_dynamics,
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + tuple(UNSTABLE_OWN_DYNAMICS))
+def test_both_domains_refuse_the_same_noise_models(name):
+    # the noise model exists in neither domain, or in both
+    m = UNSTABLE_OWN_DYNAMICS[name]() if name in UNSTABLE_OWN_DYNAMICS else _model(name)
+    for trek in _treks(m):
+        refused = []
+        for call in (lambda: trek_monomial_filter(m, trek, 8), lambda: trek_monomial_function(m, trek, 4)):
+            try:
+                call()
+            except NonConvergentError:
+                refused.append(True)
+            else:
+                refused.append(False)
+        assert refused == [name in UNSTABLE_OWN_DYNAMICS] * 2
 
 
 def test_replace_gets_a_fresh_memo():
