@@ -99,7 +99,7 @@ def _cmd_transfer(args) -> int:
         values = spectral.edge_transfer(m, args.source, args.target).evaluate(omegas)
         quantity = "H"
     else:
-        values = spectral.cctf(m, args.source, args.target, _split(args.controls), omegas).scalar_values()
+        values = spectral.cctf(m, args.source, args.target, _split(args.controls), args.grid).scalar_values()
         quantity = "CCTF"
     _emit(_spectral_lines(values, omegas, quantity, args.source, args.target), args.output)
     return 0

@@ -54,7 +54,7 @@ def identify_frontdoor(s: SpectralMatrix, labels: tuple[str, str, str]) -> Ident
     second regresses y on the residual of w after removing x's contribution,
     whose spectrum is the denominator below.
     """
-    x, w, y = labels
+    x, w, y = _three_distinct(labels)
     s_x = s.entry(x, x).real
     _guard_positive(s_x, s.omegas)
     h_xw = s.entry(w, x) / s_x
@@ -83,7 +83,7 @@ def identify_instrument(s: SpectralMatrix, labels: tuple[str, str, str]) -> Iden
     the instrument's transfer to m does not vanish; isolated zeros are patched
     by a local polynomial limit from neighbouring grid points and flagged.
     """
-    x, mm, y = labels
+    x, mm, y = _three_distinct(labels)
     s_x = s.entry(x, x).real
     _guard_positive(s_x, s.omegas)
     h_xm = s.entry(mm, x) / s_x
@@ -152,6 +152,12 @@ def identify_unconfounded_parents(
     return IdentificationResult(
         method="unconfounded", omegas=s.omegas, edges=edges, condition=condition
     )
+
+
+def _three_distinct(labels: tuple[str, str, str]) -> tuple[str, str, str]:
+    if len(labels) != 3 or len(set(labels)) != 3:
+        raise SemanticError(f"labels must name three distinct processes, got {','.join(labels)}")
+    return labels
 
 
 def _guard_positive(values: np.ndarray, omegas: np.ndarray) -> None:

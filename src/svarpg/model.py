@@ -351,20 +351,19 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
     ``stable`` comes from the companion spectral radius.  The loop radius
-    max_omega rho(H(omega)) is sampled on ``frequency_grid(grid_size)`` up to
-    omega = pi: real coefficients give H(2 pi - omega) = conj H(omega), so
-    the upper half has the same radii; it is infinite when an edge function
-    has a pole on that half grid.  A non-positive ``grid_size`` is a
-    SemanticError.
+    max_omega rho(H(omega)) is sampled on the half grid of ``grid_size``, the
+    points up to omega = pi (the upper half mirrors it, so has the same radii);
+    it is infinite when an edge function has a pole there.  A non-positive
+    ``grid_size`` is a SemanticError.
     """
-    from .spectral import _transfer, frequency_grid
+    from .spectral import _half_grid, _transfer
 
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
     radius_val = _radius(companion_matrix(m))
     try:
-        h = _transfer(m, frequency_grid(grid_size)[: grid_size // 2 + 1])[0]
+        h = _transfer(m, _half_grid(grid_size))[0]
         loop_radius = float(np.abs(np.linalg.eigvals(h)).max())
     except SingularAtFrequencyError:
         loop_radius = math.inf

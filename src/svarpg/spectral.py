@@ -6,7 +6,9 @@ auto-dependencies).  Spectra, cctf and per-source splits solve on the one
 matrix M(omega) = I - sum_k Phi_k exp(-i omega k) and divide by no 1 - a_j(z):
 S = X X^H with X = M^{-T} diag(sigma).  Spectral densities follow the plain
 Fourier sum of the auto-covariance sequence, with no 1/2pi normalization.
-Frequency grids are equispaced on [0, 2pi).
+Frequency grids are equispaced on [0, 2pi).  An int grid is solved on its
+points in [0, pi] and mirrored, F(2pi - omega) = conj F(omega) for real
+coefficients; an explicit array is solved point by point; the two agree to rounding.
 
 A spectrum exists only for a stationary process: ``_noise_factor`` certifies
 its block's companion radius and ``model._certify_own`` the internal dynamics
@@ -35,10 +37,36 @@ def frequency_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _sized(grid: int | np.ndarray) -> bool:
+    """An int grid N means ``frequency_grid(N)``, solved by ``_on_grid`` on its half
+    and mirrored; anything else is an explicit array of omegas, solved point by point."""
+    return isinstance(grid, (int, np.integer))
+
+
 def _as_omegas(grid: int | np.ndarray) -> np.ndarray:
-    if isinstance(grid, (int, np.integer)):
-        return frequency_grid(int(grid))
-    return np.asarray(grid, dtype=float)
+    return frequency_grid(int(grid)) if _sized(grid) else np.asarray(grid, dtype=float)
+
+
+def _half_grid(n: int) -> np.ndarray:
+    """omega_0..omega_{n//2}, the points of ``frequency_grid(n)`` in [0, pi]."""
+    return frequency_grid(n)[: n // 2 + 1]
+
+
+def _on_grid(grid: int | np.ndarray, build) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``(omegas, build(omegas))``, ``build`` giving a tuple of arrays with
+    frequency on axis 0.  An int grid N is built on ``_half_grid(N)`` only and
+    mirrored, F(omega_{N-j}) = conj F(omega_j), real at omega = 0 and pi; poles
+    pair up the same way, so the first omega of a SingularAtFrequencyError holds."""
+    omegas = _as_omegas(grid)
+    if not _sized(grid):
+        return omegas, build(omegas)
+    n = len(omegas)
+
+    def mirror(half: np.ndarray) -> np.ndarray:
+        half[:: (n + 1) // 2] = half[:: (n + 1) // 2].real  # omega = 0, and pi for even N
+        return np.concatenate([half, np.conj(half[1 : (n + 1) // 2][::-1])])
+
+    return omegas, tuple(map(mirror, build(_half_grid(n))))
 
 
 def _nonzero(d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -103,6 +131,9 @@ class SpectralMatrix:
     values: np.ndarray  # (N, m, m) complex
 
     def entry(self, v: str, w: str) -> np.ndarray:
+        for name in (v, w):
+            if name not in self.labels:
+                raise SemanticError(f"no process {name} in the spectral matrix")
         return self.values[:, self.labels.index(v), self.labels.index(w)]
 
     def hermitian_defect(self) -> float:
@@ -262,9 +293,8 @@ def spectral_density(m: SvarModel, grid: int | np.ndarray = 256) -> SpectralMatr
     observed rows of X = M(omega)^{-T} diag(sigma), one solve over all processes
     (latents receive no observed edges), no denominators.  It exists only for a
     stationary VAR: a companion radius of one or more is a NonConvergentError."""
-    omegas = _as_omegas(grid)
-    x = _noise_factor(m, omegas)[:, : m.n_observed]
-    return SpectralMatrix(labels=m.observed, omegas=omegas, values=_gram(x))
+    omegas, (s,) = _on_grid(grid, lambda om: (_gram(_noise_factor(m, om)[:, : m.n_observed]),))
+    return SpectralMatrix(labels=m.observed, omegas=omegas, values=s)
 
 
 def cctf(
@@ -283,9 +313,10 @@ def cctf(
     the path series.
     """
     cut = _cut(m, x, y, controls)
-    omegas = _as_omegas(grid)
-    a = _reduced(m, omegas, slice(None, m.n_observed), cut)
-    values = _inverse_entry(a, m.observed.index(x), m.observed.index(y), omegas)
+    i, j = m.observed.index(x), m.observed.index(y)
+    omegas, (values,) = _on_grid(
+        grid, lambda om: (_inverse_entry(_reduced(m, om, slice(None, m.n_observed), cut), i, j, om),)
+    )
     return TransferGrid(omegas=omegas, values=values[:, None, None])
 
 
@@ -338,10 +369,11 @@ def trek_monomial_function(m: SvarModel, trek: Trek, grid: int | np.ndarray = 25
 
     The observed edge transfers H and S_LI of ``_assemble`` depend on ``m``
     and the grid only: they are built once and kept on the model for the last
-    grid, and each path product multiplies entries of that H.
+    grid (an int grid and an array take different paths, so different keys),
+    and each path product multiplies entries of that H.
     """
-    omegas = _as_omegas(grid)
-    h, s_li = m._cached("trek_function", omegas.tobytes(), lambda: _assemble(m, omegas))
+    key = (_sized(grid), _as_omegas(grid).tobytes())
+    omegas, (h, s_li) = m._cached("trek_function", key, lambda: _on_grid(grid, lambda om: _assemble(m, om)))
     i, j = (m.observed.index(v) for v in trek.bidirected or (trek.top, trek.top))
 
     def path_product(path) -> np.ndarray:
@@ -360,10 +392,8 @@ def decompose_spectrum(
     confounding = 2 Re(H S_{ancestor,target}) - 2 |H|^2 S_ancestor;
     residual is the remainder.
     """
-    omegas = _as_omegas(grid)
-    s = spectral_density(m, omegas)
-    ctf = cctf(m, ancestor, target, (), omegas).scalar_values()
-    return _decompose_from(s, ctf, ancestor, target)
+    s = spectral_density(m, grid)
+    return _decompose_from(s, cctf(m, ancestor, target, (), grid).scalar_values(), ancestor, target)
 
 
 def _decompose_from(
@@ -407,9 +437,8 @@ def decompose_by_source(
     """
     if m.latents:
         raise LatentPresentError("per-source split requires a latent-free model")
-    omegas = _as_omegas(grid)
-    ctf = cctf(m, ancestor, target, (), omegas).scalar_values()
-    x = _noise_factor(m, omegas)
+    ctf = cctf(m, ancestor, target, (), grid).scalar_values()
+    omegas, (x,) = _on_grid(grid, lambda om: (_noise_factor(m, om),))
     total = _decompose_from(SpectralMatrix(m.observed, omegas, _gram(x)), ctf, ancestor, target)
     sources = {
         name: _decompose_from(

@@ -414,6 +414,23 @@ def test_identify_usage_errors_exit_1_with_message(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("method", ["frontdoor", "instrument"])
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ("X,M,Q", "no process Q in the spectral matrix"),
+        ("X,X,Y", "labels must name three distinct processes, got X,X,Y"),
+    ],
+    ids=["unknown", "repeated"],
+)
+def test_identify_unknown_or_repeated_label_exits_2(capsys, method, labels, message):
+    instrument = str(FIXTURES / "instrument.json")
+    code, out, err = _run(capsys, "identify", instrument, "--method", method, "--labels", labels, "--grid", "8")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "SemanticError", "message": message}
+
+
 def test_reruns_are_byte_identical(capsys):
     _, out1, _ = _run(capsys, "spectral", GRAPH_A, "--grid", "16")
     _, out2, _ = _run(capsys, "spectral", GRAPH_A, "--grid", "16")

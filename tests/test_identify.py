@@ -5,15 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_frontdoor, random_instrument, random_regression
-from svarpg.errors import ConfoundedTargetError, NotIdentifiableError
+from conftest import FIXTURES, random_frontdoor, random_instrument, random_regression
+from svarpg.errors import ConfoundedTargetError, NotIdentifiableError, SemanticError
 from svarpg.identify import (
     identify_frontdoor,
     identify_instrument,
     identify_unconfounded_parents,
 )
 from svarpg.graph import latent_projection
-from svarpg.model import SvarModel, process_graph
+from svarpg.model import SvarModel, load_model, process_graph
 from svarpg.spectral import edge_transfer, frequency_grid, spectral_density
 
 OM = frequency_grid(256)
@@ -188,3 +188,21 @@ def test_recovered_functions_conjugate_symmetric(confounded_mediator):
         vals = res.edges[key]
         mirrored = np.conj(vals[(-np.arange(n)) % n])
         assert np.abs(vals - mirrored).max() < 1e-10
+
+
+@pytest.mark.parametrize("method", [identify_frontdoor, identify_instrument])
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        (("X", "M", "Q"), "no process Q in the spectral matrix"),
+        (("X", "X", "Y"), "labels must name three distinct processes, got X,X,Y"),
+        (("X", "M", "X"), "labels must name three distinct processes, got X,M,X"),
+        (("X", "M"), "labels must name three distinct processes, got X,M"),
+    ],
+    ids=["unknown", "repeated_first", "repeated_ends", "two"],
+)
+def test_unknown_or_repeated_labels_are_semantic_errors(method, labels, message):
+    s = spectral_density(load_model(FIXTURES / "instrument.json"), 8)
+    with pytest.raises(SemanticError) as exc:
+        method(s, labels)
+    assert str(exc.value) == message

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
+from conftest import FIXTURES, ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
 from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
-from svarpg.model import SvarModel, check_stability, process_graph
+from svarpg.model import SvarModel, check_stability, load_model, process_graph
 from svarpg.spectral import (
     cctf,
     decompose_by_source,
@@ -263,6 +263,73 @@ def test_true_pole_of_a_controlled_effect_is_typed_error():
     assert np.isfinite(cctf(m, "X", "Y", (), 4).values).all()
     with pytest.raises(SingularAtFrequencyError):
         cctf(m, "Y", "X", (), 4)
+
+
+MIRROR_GRIDS = (1, 2, 3, 64, 65)
+
+
+def _engine_outputs(m, grid):
+    """Every int-grid output of the frequency engine on ``grid``, frequency on axis 0."""
+    out = {"spectral_density": spectral_density(m, grid).values}
+    for x in m.observed:
+        for y in m.observed:
+            if x != y:
+                out[f"cctf {x}->{y}"] = cctf(m, x, y, (), grid).values
+    if not m.latents:
+        split = decompose_by_source(m, m.observed[0], m.observed[-1], grid)
+        for source, dec in [("total", split.total), *split.sources.items()]:
+            factors = (dec.causal, dec.confounding, dec.residual, dec.target_spectrum)
+            out[f"decompose_by_source {source}"] = np.stack(factors, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", MIRROR_GRIDS)
+@pytest.mark.parametrize("name", ["graph_b", "graph_c", "instrument"])
+def test_int_grids_are_exactly_conjugate_symmetric(name, n):
+    m = load_model(FIXTURES / f"{name}.json")
+    mirror = -np.arange(n) % n
+    for label, v in _engine_outputs(m, n).items():
+        assert np.array_equal(v[mirror], np.conj(v)), label
+
+
+@pytest.mark.parametrize("n", MIRROR_GRIDS)
+@pytest.mark.parametrize("name", ["graph_b", "graph_c", "instrument"])
+def test_int_grids_agree_with_the_direct_path(name, n):
+    m = load_model(FIXTURES / f"{name}.json")
+    direct = _engine_outputs(m, frequency_grid(n))
+    for label, v in _engine_outputs(m, n).items():
+        assert np.abs(v - direct[label]).max() <= 1e-13 * np.abs(direct[label]).max(), label
+
+
+@pytest.mark.parametrize("n", MIRROR_GRIDS)
+def test_a_pole_is_reported_at_the_same_omega_on_both_paths(n):
+    m = unit_root_own_dynamics()  # Y -> X runs through X's own 1 - z, zero at omega = 0
+    omegas = []
+    for grid in (n, frequency_grid(n)):
+        with pytest.raises(SingularAtFrequencyError) as exc:
+            cctf(m, "Y", "X", (), grid)
+        omegas.append(exc.value.omega)
+    assert omegas == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", (4, 8, 64))
+def test_a_pole_off_zero_and_pi_is_reported_at_the_same_omega_on_both_paths(n):
+    # X's own dynamics (1 + z^2)^2 vanish exactly at omega = pi/2 and 3pi/2 in
+    # floating point (1 + z^2 alone leaves a residue of 1e-16 there)
+    m = SvarModel(
+        observed=("X", "Y"),
+        latents=(),
+        order=4,
+        coeffs={("X", "X", 2): -2.0, ("X", "X", 4): -1.0, ("Y", "X", 1): 1.0},
+        noise_var={"X": 1.0, "Y": 1.0},
+    )
+    omegas = []
+    for grid in (n, frequency_grid(n), frequency_grid(n)[n // 2 + 1 :]):
+        with pytest.raises(SingularAtFrequencyError) as exc:
+            cctf(m, "Y", "X", (), grid)
+        omegas.append(exc.value.omega)
+    # the int grid never solves the upper half, whose pole at 3pi/2 mirrors the one at pi/2
+    assert omegas == [np.pi / 2, np.pi / 2, 3 * np.pi / 2]
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,7 +4,8 @@
 noise covariance with the edge filter tensor, or ``_assemble``'s H and S_LI,
 on the model for the last horizon or grid.  The oracles below rebuild all of
 it for every trek, as those functions once did: ``projected_noise_acs`` plus a
-``direct_effect_filter`` per edge, and ``_assemble`` plus ``path_transfer``.
+``direct_effect_filter`` per edge, and ``_assemble`` plus ``path_transfer``
+on every point of the grid.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from svarpg.filters import (
 )
 from svarpg.graph import enumerate_treks, latent_projection
 from svarpg.model import load_model, process_graph
-from svarpg.spectral import _assemble, frequency_grid, path_transfer, trek_monomial_function
+from svarpg.spectral import _assemble, _on_grid, frequency_grid, path_transfer, trek_monomial_function
 
 MODELS = FIXTURE_NAMES + ("cyclic_latent",)
 
@@ -84,8 +85,8 @@ def _assert_same_filter(got, expected):
     np.testing.assert_array_equal(got.values, expected.values)
 
 
-def _assert_close_function(got, expected):
-    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+def _assert_close_function(got, expected, bound=1e-14):
+    assert np.abs(got - expected).max() <= bound * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -100,11 +101,20 @@ def test_trek_filters_are_bit_identical_to_the_per_trek_oracle(name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_trek_functions_match_the_per_trek_oracle(name):
+    # The oracle solves every point of frequency_grid(n), as an explicit array
+    # does.  An int grid n is solved on its half grid and mirrored: it agrees
+    # with that oracle to rounding, and with the oracle mirrored the same way
+    # as closely as the array does with the direct oracle.
     m = _model(name)
-    for grid in (64, 257):
-        omegas = frequency_grid(grid)
-        for trek in _treks(m):
-            _assert_close_function(trek_monomial_function(m, trek, grid), _oracle_function(m, trek, omegas))
+    for n in (64, 257):
+        omegas = frequency_grid(n)
+        expected = [(trek, _oracle_function(m, trek, omegas)) for trek in _treks(m)]
+        for trek, direct in expected:
+            _assert_close_function(trek_monomial_function(m, trek, omegas), direct)
+        for trek, direct in expected:
+            got = trek_monomial_function(m, trek, n)
+            _assert_close_function(got, direct, 1e-13)
+            _assert_close_function(got, _on_grid(n, lambda om: (_oracle_function(m, trek, om),))[1][0])
 
 
 @pytest.mark.parametrize("name", ["graph_b", "confounded_mediator", "cyclic_latent"])
@@ -121,6 +131,18 @@ def test_alternating_horizons_and_grids_equal_fresh_models(name):
             np.testing.assert_array_equal(
                 trek_monomial_function(shared, trek, grid), trek_monomial_function(fresh, trek, grid)
             )
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 64, 65))
+@pytest.mark.parametrize("name", ["graph_b", "graph_c", "instrument"])
+def test_int_grid_trek_functions_are_mirrored_and_agree_with_the_direct_path(name, n):
+    m = _model(name)
+    mirror = -np.arange(n) % n
+    for trek in _treks(m):
+        got = trek_monomial_function(m, trek, n)
+        assert np.array_equal(got[mirror], np.conj(got))
+        direct = trek_monomial_function(m, trek, frequency_grid(n))
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_a_failed_build_is_raised_again_and_stores_nothing():
