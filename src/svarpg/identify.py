@@ -25,7 +25,7 @@ from .errors import (
     SemanticError,
 )
 from .graph import LatentProjection
-from .spectral import SpectralMatrix
+from .spectral import SpectralMatrix, _solve
 
 DENOM_THRESHOLD = 1e-9
 
@@ -144,7 +144,7 @@ def identify_unconfounded_parents(
     bad = conds > 1.0 / DENOM_THRESHOLD
     if bad.any():
         raise IllConditionedError(float(s.omegas[int(np.argmax(bad))]))
-    coeffs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    coeffs = _solve(gram, rhs[:, :, None], s.omegas)[:, :, 0]
 
     ok = np.ones(n, dtype=bool)
     edges = {(p, target): coeffs[:, i] for i, p in enumerate(parents)}

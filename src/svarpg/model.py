@@ -353,10 +353,12 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     ``stable`` comes from the companion spectral radius.  The loop radius
     max_omega rho(H(omega)) is sampled on the half grid of ``grid_size``, the
     points up to omega = pi (the upper half mirrors it, so has the same radii);
-    it is infinite when an edge function has a pole there.  A non-positive
-    ``grid_size`` is a SemanticError.
+    it is infinite when an edge function has a pole there.  The eigenvalues
+    are taken on contiguous frequency slices across the cores this process
+    may use, bit-identical to one core.  A non-positive ``grid_size`` is a
+    SemanticError.
     """
-    from .spectral import _half_grid, _transfer
+    from .spectral import _half_grid, _per_frequency, _transfer
 
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
@@ -364,7 +366,7 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     radius_val = _radius(companion_matrix(m))
     try:
         h = _transfer(m, _half_grid(grid_size))[0]
-        loop_radius = float(np.abs(np.linalg.eigvals(h)).max())
+        loop_radius = float(np.abs(_per_frequency(np.linalg.eigvals, h)).max())
     except SingularAtFrequencyError:
         loop_radius = math.inf
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
+from svarpg import spectral
 from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
 from svarpg.graph import enumerate_treks, latent_projection
@@ -214,7 +217,7 @@ def test_freq_path_rule_geometric_decay(graph_c):
         prev = dev
 
 
-def test_singular_frequency_is_typed_error():
+def test_singular_frequency_is_typed_error(monkeypatch):
     # A <-> B at lag 1 with gain 1: det(I - H) = 1 - z^2 vanishes at omega = 0
     m = SvarModel(
         observed=("A", "B"),
@@ -228,6 +231,14 @@ def test_singular_frequency_is_typed_error():
         spectral_density(m, 8)
     with pytest.raises(SingularAtFrequencyError):
         freq_path_rule_check(m, "A", "B", 8)
+    # two singular frequencies in different slices of a split solve: the first is reported
+    monkeypatch.setattr(spectral, "_PARALLEL_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    a = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
+    a[[3, 6]] = 0.0
+    with pytest.raises(SingularAtFrequencyError) as err:
+        spectral._solve(a, np.broadcast_to(np.eye(2), a.shape), OM[:8])
+    assert err.value.omega == OM[3]
 
 
 def test_spectral_density_needs_a_stationary_var():
