@@ -7,10 +7,11 @@ are a few eps * log2(length) times the operands' lag-l1 norms, so small
 entries lose relative accuracy, while an entry that pairs only all-zero
 series stays exactly 0.  The filter series (I - Lambda)^{-1} of a block is
 exact on lags 0..L (finite order-p recursion of (I - Phi(z))^{-1}) behind a
-certificate: rho(Lambda_0) < 1 and a block companion radius below one.  Noise
-covariances exist only for stable internal dynamics (``model._certify_own``,
-the certificate the frequency domain shares).  The MA(infinity) covariance
-is the companion Lyapunov solution (Smith's doubling, run to convergence).
+block companion radius below one, and rho(Lambda_0) < 1 where it is read as a
+sum over paths.  Noise covariances exist only for stable internal dynamics
+(``model._certify_own``, the certificate the frequency domain shares).  Each
+radius is solved once per model, block and cut (``model._kept_radius``).  The
+MA(infinity) covariance is the companion Lyapunov solution (Smith's doubling).
 Covariance sequences stop at an explicit lag horizon with a tail estimate.
 """
 
@@ -33,6 +34,8 @@ from .model import (
     SvarModel,
     _certify,
     _certify_own,
+    _companion_radius,
+    _kept_radius,
     companion_matrix,
     contemporaneous_solve_matrix,
     phi_companion,
@@ -212,27 +215,34 @@ def lambda_matrix(m: SvarModel, L: int) -> FiniteFilter:
     return FiniteFilter(start=0, values=_edge_filters(m, L)[:, :n, :n])
 
 
-def _filter_series(m: SvarModel, L: int, block: slice, cut: Iterable[int] = ()) -> np.ndarray:
+def _filter_series(m: SvarModel, L: int, block: slice, cut: Iterable[int] = (), paths: bool = True) -> np.ndarray:
     """Exact (I - Lambda)^{-1} on lags 0..L, Lambda the edge filters among
     ``m.processes[block]`` without the edges into the block positions ``cut``.
 
     With phi the block's Phi, columns of processes that receive no edge zeroed,
     column j of Lambda is phi's off-diagonal column over d_j = 1 - a_j(z), so
     (I - Lambda)^{-1} = diag(d) Psi with Psi = (I - phi(z))^{-1}, which decays
-    under the companion certificate even where Lambda itself grows.
+    under the companion certificate even where Lambda itself grows.  The value
+    needs a solvable I - phi_0 (SingularContemporaneousError otherwise); reading
+    it as the sum over paths (``paths``) also needs rho(Lambda_0) < 1.
     """
     _check_horizon(L)
     fed = m._edge_mask[block, block].any(axis=0)
+    cut = frozenset(cut)
     fed[list(cut)] = False
     phi = m.Phi[:, block, block] * fed
-    _certify(phi[0], "lag-0 loops have spectral radius")
-    _certify(phi_companion(phi), "filter series not summable: companion radius")
+    key = (block.start, block.stop, cut)
+    if paths:
+        _certify(_kept_radius(m, ("lag-0", *key), lambda: phi[0]), "lag-0 loops have spectral radius")
+    series = _kept_radius(m, ("series", *key), lambda: phi_companion(phi))
+    _certify(series, "filter series not summable: companion radius")
     k, p = len(fed), len(phi) - 1
     inv0 = np.linalg.inv(np.eye(k) - phi[0])
     psi = np.zeros((L + 1, k, k))
     psi[0] = np.eye(k)
     for s in range(L + 1):  # Psi_s (I - phi_0) = delta_s I + sum_{t>=1} Psi_{s-t} phi_t
-        psi[s] = (psi[s] + sum(psi[s - t] @ phi[t] for t in range(1, min(s, p) + 1))) @ inv0
+        t = min(s, p)
+        psi[s] = (psi[s] + np.add.reduce(psi[s - t : s][::-1] @ phi[1 : t + 1], axis=0)) @ inv0
     g = psi.copy()
     autos = np.diagonal(phi, axis1=1, axis2=2)  # a_j(t); zero for unfed j
     for t in range(1, min(L, p) + 1):
@@ -276,8 +286,11 @@ def ccf(
 class AcsSequence:
     """Auto-covariance sequence C(0..L); C(-tau) is implied by C(tau)^T.
 
-    ``tail_bound`` estimates the total weight outside the stored horizon,
-    suitable for bounding Fourier truncation error.
+    ``tail_bound`` is not a certified truncation bound (ROADMAP item 2).
+    ``acs_via_sep`` gives the composite's weight beyond the horizon plus a
+    geometric extrapolation at ratio 0.9; ``acs_via_ma_infinity`` gives the
+    last Lyapunov doubling increment, which measures the doubling's
+    convergence, not the weight beyond the horizon.
     """
 
     labels: tuple[str, ...]
@@ -346,7 +359,7 @@ def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
         gamma = FiniteFilter(start=0, values=_edge_filters(m, L)[:, n:, :n])
         c_lat = _internal_acs(m, slice(n, None), L)
         if m._edge_mask[n:, n:].any():  # latents driving each other
-            lam_inf = FiniteFilter(start=0, values=_filter_series(m, L, slice(n, None)))
+            lam_inf = FiniteFilter(start=0, values=_filter_series(m, L, slice(n, None), paths=False))
             c_lat = convolve(lam_inf.transpose(), tilted_convolve(c_lat, lam_inf))
         latent_part = convolve(gamma.transpose(), tilted_convolve(c_lat, gamma))
         merged = FiniteFilter.zeros(
@@ -382,14 +395,15 @@ def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsS
     together): Gamma_0 = C Gamma_0 C^T + Q on the companion matrix C, Q = b W b^T
     in the top block, by Smith's doubling to convergence (steps capped from the
     certified radius, NonConvergentError at the cap), then Gamma(tau) = C
-    Gamma(tau - 1).  ``tail_bound`` is the last doubling increment.  ``L_psi``
+    Gamma(tau - 1).  ``tail_bound`` is the last doubling increment, which is
+    not a bound on the covariances beyond ``L_acs`` (ROADMAP item 2).  ``L_psi``
     no longer changes the value; it stays, with its checks, for positional callers.
     """
     _check_horizon(L_acs)
     if L_psi < L_acs:
         raise SemanticError(f"MA horizon {L_psi} is shorter than the ACS horizon {L_acs}")
     comp = companion_matrix(m)
-    rho = _certify(comp, "companion spectral radius")
+    rho = _certify(_companion_radius(m), "companion spectral radius")
     n, k = m.n_processes, len(comp)
     b = contemporaneous_solve_matrix(m)
     gamma = np.zeros((k, k))
@@ -425,17 +439,24 @@ def trek_monomial_filter(m: SvarModel, trek: Trek, L: int = 128) -> FiniteFilter
     Convolves the left path filter with the relevant projected-noise entry and
     tilted-convolves with the right path filter.  The projected noise
     covariance and the edge filter tensor depend on ``m`` and ``L`` only: they
-    are built once and kept on the model for the last ``L``, and each path
-    filter convolves slices of that tensor.
+    are built once and kept on the model for the last ``L``, together with the
+    path filters, keyed by vertex prefix.  A path filter extends its prefix by
+    one slice of that tensor, so treks that share a prefix convolve it once.
     """
-    noise, edges = m._cached("trek_filter", L, lambda: (projected_noise_acs(m, L), _edge_filters(m, L)))
+    noise, edges, prefixes = m._cached(
+        "trek_filter", L, lambda: (projected_noise_acs(m, L), _edge_filters(m, L), {})
+    )
     middle = noise.entry(*(m.observed.index(v) for v in trek.bidirected or (trek.top, trek.top)))
 
     def path_filter(path) -> FiniteFilter:
         out = FiniteFilter.unit(1)
-        for src, dst in path.edge_list():
-            v, w = m._index(src), m._index(dst)
-            out = convolve(out, FiniteFilter(start=0, values=edges[:, v : v + 1, w : w + 1])).truncate(0, L)
+        for k, (src, dst) in enumerate(path.edge_list(), 2):
+            prefix = path.vertices[:k]
+            if prefix not in prefixes:
+                v, w = m._index(src), m._index(dst)
+                edge = FiniteFilter(start=0, values=edges[:, v : v + 1, w : w + 1])
+                prefixes[prefix] = convolve(out, edge).truncate(0, L)
+            out = prefixes[prefix]
         return out
 
     return convolve(path_filter(trek.left), tilted_convolve(middle, path_filter(trek.right)))

@@ -12,7 +12,7 @@ model densifies it once into the read-only tensor ``Phi`` of shape
 plus an edge mask (nonzero at some lag, diagonal excluded); every
 computation, matrix and graph view reads those two arrays.  The model is
 immutable (read-only ``coeffs`` and ``noise_var`` copies), so ``_cached``
-may keep results derived from it.
+and ``_kept_radius`` may keep results derived from it.
 """
 
 from __future__ import annotations
@@ -327,14 +327,25 @@ def phi_companion(phi: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _radius(a: np.ndarray) -> float:
-    """Spectral radius of ``a`` (0 for an empty matrix)."""
-    return float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
+def _kept_radius(m: SvarModel, key: tuple, build: Callable[[], np.ndarray]) -> float:
+    """Spectral radius of ``build()`` (0 for an empty matrix), kept on ``m`` under
+    ``key``, what it certifies (kind, block and cut), so each certificate is solved
+    once per model; a build that raises keeps nothing.  Callers gate the radius
+    themselves with ``_certify``."""
+    radii = m._memo.setdefault("radius", {})
+    if key not in radii:
+        radii[key] = float(np.abs(np.linalg.eigvals(build())).max(initial=0.0))
+    return radii[key]
 
 
-def _certify(a: np.ndarray, what: str) -> float:
-    """``_radius(a)``; NonConvergentError unless it is below STABLE_RADIUS."""
-    rho = _radius(a)
+def _companion_radius(m: SvarModel, block: slice = slice(None)) -> float:
+    """Kept companion spectral radius of the VAR of ``m.processes[block]``."""
+    key = ("companion", block.start, block.stop)
+    return _kept_radius(m, key, lambda: phi_companion(m.Phi[:, block, block]))
+
+
+def _certify(rho: float, what: str) -> float:
+    """``rho``; NonConvergentError unless it is below STABLE_RADIUS."""
     if rho >= STABLE_RADIUS:
         raise NonConvergentError(f"{what} {rho:.4g} >= 1")
     return rho
@@ -344,13 +355,16 @@ def _certify_own(m: SvarModel, block: slice = slice(None)) -> None:
     """NonConvergentError unless the internal dynamics 1 - a_j(z) of every process in
     ``m.processes[block]`` are stable: only then do internal spectra and covariances exist."""
     phi = m.Phi[:, block, block]
-    _certify(phi_companion(phi * np.eye(phi.shape[1])), "internal dynamics not stable: companion radius")
+    key = ("own", block.start, block.stop)
+    own = _kept_radius(m, key, lambda: phi_companion(phi * np.eye(phi.shape[1])))
+    _certify(own, "internal dynamics not stable: companion radius")
 
 
 def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
-    ``stable`` comes from the companion spectral radius.  The loop radius
+    ``stable`` comes from the companion spectral radius, kept on the model
+    (``_kept_radius``) and taken after the loop radius.  The loop radius
     max_omega rho(H(omega)) is sampled on the half grid of ``grid_size``, the
     points up to omega = pi (the upper half mirrors it, so has the same radii);
     it is infinite when an edge function has a pole there.  The eigenvalues
@@ -363,12 +377,12 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
-    radius_val = _radius(companion_matrix(m))
     try:
         h = _transfer(m, _half_grid(grid_size))[0]
         loop_radius = float(np.abs(_per_frequency(np.linalg.eigvals, h)).max())
     except SingularAtFrequencyError:
         loop_radius = math.inf
+    radius_val = _companion_radius(m)
 
     return StabilityReport(
         per_process_auto_sum=auto_sums,

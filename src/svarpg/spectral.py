@@ -29,7 +29,7 @@ import numpy as np
 from .errors import LatentPresentError, SemanticError, SingularAtFrequencyError
 from .filters import FiniteFilter, _cut
 from .graph import DirectedPath, Trek, cycle_basis, enumerate_paths
-from .model import SvarModel, _certify, _certify_own, phi_companion, process_graph
+from .model import SvarModel, _certify, _certify_own, _companion_radius, process_graph
 
 
 def frequency_grid(n: int) -> np.ndarray:
@@ -312,7 +312,7 @@ def _noise_factor(m: SvarModel, omegas: np.ndarray, block: slice = slice(None)) 
     """X = M(omega)^{-T} diag(sigma) over ``m.processes[block]``: column k is
     the response to source k, and X X^H is the block's spectrum; it exists only
     for a companion radius below one, even where the solve stays finite."""
-    _certify(phi_companion(m.Phi[:, block, block]), "no stationary spectrum: companion radius")
+    _certify(_companion_radius(m, block), "no stationary spectrum: companion radius")
     a = _reduced(m, omegas, block).transpose(0, 2, 1)
     sigma = np.sqrt([m.noise_var[name] for name in m.processes[block]])
     return _solve(a, np.broadcast_to(np.diag(sigma), a.shape), omegas)

@@ -156,7 +156,9 @@ def test_a_failed_build_is_raised_again_and_stores_nothing():
     for _ in range(2):
         with pytest.raises(NonConvergentError):
             trek_monomial_function(m, trek, 4)
-    assert not m._memo
+    # the failed build kept nothing; only the certificate's radius stays, and it fails the gate
+    assert list(m._memo) == ["radius"]
+    assert list(m._memo["radius"].values()) == [1.0]
     m = _model("graph_a")
     trek = _treks(m)[0]
     kept = trek_monomial_filter(m, trek, 5)
