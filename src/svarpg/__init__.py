@@ -30,12 +30,10 @@ from .filters import (
     trek_monomial_filter,
 )
 from .graph import (
-    CycleBasis,
     DirectedPath,
     LatentProjection,
     ProcessGraph,
     Trek,
-    cycle_basis,
     enumerate_paths,
     enumerate_treks,
     latent_projection,
@@ -70,7 +68,6 @@ from .spectral import (
     fourier,
     freq_path_rule_check,
     frequency_grid,
-    loop_gain_report,
     spectral_density,
     trek_monomial_function,
 )

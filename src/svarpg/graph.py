@@ -143,19 +143,6 @@ class Trek:
         return frozenset(self.right.vertices)
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """All minimal cycles of a graph, one representative per rotation class."""
-
-    cycles: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-
 def latent_projection(g: ProcessGraph) -> LatentProjection:
     """Project out latent processes, introducing bidirected edges.
 
@@ -200,30 +187,6 @@ def _canonical_rotation(cycle: tuple[str, ...]) -> tuple[str, ...]:
     """Lexicographically minimal rotation; input omits the closing repeat."""
     rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
     return min(rotations)
-
-
-def cycle_basis(g) -> CycleBasis:
-    """Every minimal directed cycle, deduplicated by rotation.
-
-    Accepts a ProcessGraph or a LatentProjection (directed part only).
-    """
-    found: set[tuple[str, ...]] = set()
-    vertices = list(g.observed) + list(getattr(g, "latents", ()))
-
-    def extend(path: list[str], start: str):
-        for nxt in g.successors(path[-1]):
-            if nxt == start:
-                found.add(_canonical_rotation(tuple(path)))
-            elif nxt not in path and nxt > start:
-                # grow only cycles whose smallest vertex is the start;
-                # rotations are then never produced twice
-                path.append(nxt)
-                extend(path, start)
-                path.pop()
-
-    for start in vertices:
-        extend([start], start)
-    return CycleBasis(cycles=tuple(sorted(found)))
 
 
 def enumerate_paths(

@@ -8,13 +8,21 @@ every block runs its B steps at once from a zero start (its forced response),
 a loop over the blocks carries the start states s = C^B s + end state, and
 one product with the top rows of C^1..C^B adds each block's free response.
 That is about 2 sqrt(n_steps) vectorised steps instead of n_steps, with the
-same values as the step-by-step recursion up to rounding.  Trajectories are
-bit-reproducible for a fixed seed, numpy version and BLAS.
+same values as the step-by-step recursion up to rounding.  The innovation
+rows are drawn in place, in contiguous slices of processes across the cores
+this process may use (numpy's generators release the GIL); every process has
+its own stream, so the draw is bit-identical on any number of cores.
+Trajectories are bit-reproducible for a fixed seed, numpy version and BLAS.
 
 The Welch estimator targets the same spectral convention as the analytic
-code: the plain Fourier sum of the auto-covariance sequence, no 1/2pi.  It
-accumulates only the returned grid bins, over chunks of segments whose size
-follows from a fixed memory budget.
+code: the plain Fourier sum of the auto-covariance sequence, no 1/2pi.  Only
+the grid bins are computed.  Bin j * stride of a segment's DFT is bin j of the
+length-grid DFT of the tapered segment folded modulo grid (its stride pieces
+of length grid summed), and real data need only bins 0..grid//2 of that DFT,
+from ``np.fft.rfft``.  The cross-periodograms are accumulated on that half
+grid, over chunks of segments whose size follows from a fixed memory budget,
+and mirrored once by conjugation onto the full grid, as the frequency engine
+mirrors its solves (``spectral._mirror``).
 """
 
 from __future__ import annotations
@@ -27,9 +35,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExplosionError, SemanticError, TooShortError
 from .model import SvarModel, companion_matrix, contemporaneous_solve_matrix
+from .spectral import _in_slices, _mirror
 
 _EXPLOSION_LIMIT = 1e12
-_WELCH_CHUNK_BYTES = 1 << 21  # bound on the FFT output of one chunk of segments
+# bound on the tapered copy of one chunk of segments, the largest temporary of
+# the chunk: its fold, half-grid rfft and cross products are stride times smaller
+_WELCH_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -72,10 +83,14 @@ def _innovations(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
     if not 0 <= seed < 2**64:
         raise SemanticError("seed must be in [0, 2^64)")
     out = np.empty((m.n_processes, n_steps))
-    for idx, name in enumerate(m.processes):
-        bits = np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
-        rng = np.random.Generator(bits)
-        out[idx] = np.sqrt(m.noise_var[name]) * rng.standard_normal(n_steps)
+
+    def draw(lo: int, hi: int) -> None:
+        for idx in range(lo, hi):
+            bits = np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
+            np.random.Generator(bits).standard_normal(n_steps, out=out[idx])
+            out[idx] *= np.sqrt(m.noise_var[m.processes[idx]])
+
+    _in_slices(m.n_processes, m.n_processes * n_steps, draw)
     return out.T
 
 
@@ -120,7 +135,7 @@ def simulate(m: SvarModel, T: int, seed: int = 0, burn_in: int = 1024) -> Trajec
         with np.errstate(over="ignore", invalid="ignore"):
             values = _blocked_recursion(companion_matrix(m), eta)
 
-    if not np.all(np.isfinite(values)) or np.abs(values).max() >= _EXPLOSION_LIMIT:
+    if not np.abs(values).max() < _EXPLOSION_LIMIT:  # also catches NaN and +-inf
         raise ExplosionError("trajectory left the finite guard")
     return Trajectory(
         labels=m.processes,
@@ -140,8 +155,9 @@ def welch_spectrum(
 ) -> SpectralEstimate:
     """Averaged Hann-tapered cross-spectra on the grid omega_j = 2 pi j / grid.
 
-    The segment length must be a multiple of the grid size; segment FFT bins
-    are subsampled onto the grid, so no interpolation happens.
+    The segment length must be a multiple of the grid size; each tapered
+    segment is folded onto the grid, so its DFT bins on the grid are exact and
+    no interpolation happens.  ``values[grid - j]`` is ``conj(values[j])``.
     """
     if segment_len < 1 or grid < 1:
         raise SemanticError("segment_len and grid must be positive")
@@ -164,17 +180,19 @@ def welch_spectrum(
     # (count, n_series, segment_len) views of the series, no copy
     segments = sliding_window_view(data, segment_len, axis=0)[::step]
     count = segments.shape[0]
-    chunk = max(1, _WELCH_CHUNK_BYTES // (16 * n_series * segment_len))
-    values = np.zeros((grid, n_series, n_series), dtype=complex)
+    chunk = max(1, _WELCH_CHUNK_BYTES // (8 * n_series * segment_len))
+    half = np.zeros((grid // 2 + 1, n_series, n_series), dtype=complex)
     for c0 in range(0, count, chunk):
-        bins = np.fft.fft(segments[c0 : c0 + chunk] * window, axis=-1)[..., ::stride]
-        values += bins.transpose(2, 1, 0) @ np.conj(bins).transpose(2, 0, 1)
-    values /= count * norm
+        tapered = segments[c0 : c0 + chunk] * window
+        folded = tapered.reshape(*tapered.shape[:2], stride, grid).sum(axis=2)
+        bins = np.fft.rfft(folded, axis=-1)
+        half += bins.transpose(2, 1, 0) @ np.conj(bins).transpose(2, 0, 1)
+    half /= count * norm
     omegas = 2.0 * np.pi * np.arange(grid) / grid
     return SpectralEstimate(
         labels=labels,
         omegas=omegas,
-        values=values,
+        values=_mirror(half, grid),
         segment_count=count,
         segment_len=segment_len,
         taper="hann",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import LatentPresentError, SemanticError, SingularAtFrequencyError
 from .filters import FiniteFilter, _cut
-from .graph import DirectedPath, Trek, cycle_basis, enumerate_paths
+from .graph import DirectedPath, Trek, enumerate_paths
 from .model import SvarModel, _certify, _certify_own, _companion_radius, process_graph
 
 
@@ -63,12 +63,15 @@ def _on_grid(grid: int | np.ndarray, build) -> tuple[np.ndarray, tuple[np.ndarra
     if not _sized(grid):
         return omegas, build(omegas)
     n = len(omegas)
+    return omegas, tuple(_mirror(half, n) for half in build(_half_grid(n)))
 
-    def mirror(half: np.ndarray) -> np.ndarray:
-        half[:: (n + 1) // 2] = half[:: (n + 1) // 2].real  # omega = 0, and pi for even N
-        return np.concatenate([half, np.conj(half[1 : (n + 1) // 2][::-1])])
 
-    return omegas, tuple(map(mirror, build(_half_grid(n))))
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """F on ``frequency_grid(n)`` from F on ``_half_grid(n)`` (frequency on axis 0),
+    by F(omega_{n-j}) = conj F(omega_j); the points omega = 0, and pi for even n,
+    are set to their real part in place."""
+    half[:: (n + 1) // 2] = half[:: (n + 1) // 2].real
+    return np.concatenate([half, np.conj(half[1 : (n + 1) // 2][::-1])])
 
 
 def _nonzero(d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -216,12 +219,13 @@ def _transfer(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return h, d
 
 
-# Each slice of a split holds at least this many frequencies x dimension^3
-# units, so a batch below twice this runs on the caller's thread.  On a 2-core
-# Xeon (Python 3.11, OpenBLAS on one thread) starting and joining a thread takes
-# about 90 us, and a two-way split 0.3-1 ms beyond half the serial time; 2^17
-# units take about 0.25 ms to solve at dimension 42, 0.6 ms at 12 and 2.6 ms
-# at 3, and 2-10 ms to take the eigenvalues of.
+# Each slice of a split holds at least this many units of work, so a batch
+# below twice this runs on the caller's thread.  A unit is one frequency x
+# dimension^3 of a per-frequency LAPACK call, or one drawn normal value.  On a
+# 2-core Xeon (Python 3.11, OpenBLAS on one thread) starting and joining a
+# thread takes about 90 us, and a two-way split 0.3-1 ms beyond half the serial
+# time; 2^17 units take about 0.25 ms to solve at dimension 42, 0.6 ms at 12
+# and 2.6 ms at 3, 2-10 ms to take the eigenvalues of, and 3 ms to draw.
 _PARALLEL_WORK = 1 << 17
 
 
@@ -232,46 +236,55 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _per_frequency(fn, *stacks: np.ndarray) -> np.ndarray:
-    """``fn(*stacks)`` for a per-frequency numpy routine, frequency on axis 0.
+def _in_slices(n: int, work: int, run) -> list:
+    """``[run(lo, hi), ...]`` over contiguous slices ``[lo, hi)`` of ``range(n)``
+    that cover it in order, ``work`` units in all.
 
-    The batch is cut into contiguous slices, at most one per core this
-    process may use and none below ``_PARALLEL_WORK``, run at once: the
-    caller's thread takes the first and one short-lived thread each of the
-    others (numpy's linalg gufuncs release the GIL), and the results are joined
-    in frequency order.  Each frequency gets the same LAPACK call on the same
-    matrix, so the result is bit-identical to ``fn(*stacks)`` on any number of
-    cores.  A slice's exception is raised after every helper has joined, the
-    earliest slice's first.  Nothing outlives the call.
+    There is at most one slice per core this process may use and none below
+    ``_PARALLEL_WORK`` units, run at once: the caller's thread takes the first
+    and one short-lived thread each of the others, so ``run`` must release the
+    GIL to gain anything.  A slice's exception is raised after every helper has
+    joined, the earliest slice's first.  Nothing outlives the call.
     """
-    n = len(stacks[0])
-    parts = min(_cores(), n, n * stacks[0].shape[-1] ** 3 // _PARALLEL_WORK)
+    parts = min(_cores(), n, work // _PARALLEL_WORK)
     if parts < 2:
-        return fn(*stacks)
+        return [run(0, n)]
     cuts = [n * k // parts for k in range(parts + 1)]
     results: list = [None] * parts
     errors: list = [None] * parts
 
-    def run(k: int) -> None:
+    def one(k: int) -> None:
         try:
-            results[k] = fn(*(s[cuts[k] : cuts[k + 1]] for s in stacks))
+            results[k] = run(cuts[k], cuts[k + 1])
         except Exception as exc:  # raised on the caller's thread below
             errors[k] = exc
 
     started = []
     try:
         for k in range(1, parts):
-            helper = threading.Thread(target=run, args=(k,))
+            helper = threading.Thread(target=one, args=(k,))
             helper.start()
             started.append(helper)
-        run(0)
+        one(0)
     finally:
         for helper in started:
             helper.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return np.concatenate(results)
+    return results
+
+
+def _per_frequency(fn, *stacks: np.ndarray) -> np.ndarray:
+    """``fn(*stacks)`` for a per-frequency numpy routine, frequency on axis 0,
+    run on contiguous frequency slices across cores (``_in_slices``; numpy's
+    linalg gufuncs release the GIL) and joined in frequency order.  Each
+    frequency gets the same LAPACK call on the same matrix, so the result is
+    bit-identical to ``fn(*stacks)`` on any number of cores.
+    """
+    n = len(stacks[0])
+    slices = _in_slices(n, n * stacks[0].shape[-1] ** 3, lambda lo, hi: fn(*(s[lo:hi] for s in stacks)))
+    return slices[0] if len(slices) == 1 else np.concatenate(slices)
 
 
 def _solve(a: np.ndarray, b: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -388,22 +401,6 @@ def path_transfer(m: SvarModel, path: DirectedPath, grid: int | np.ndarray) -> n
     for src, dst in path.edge_list():
         out = out * edge_transfer(m, src, dst).evaluate(omegas)
     return out
-
-
-def loop_gain_report(m: SvarModel, grid: int | np.ndarray = 256) -> dict[tuple[str, ...], float]:
-    """Max modulus of the transfer product around each minimal cycle.
-
-    An exponential diagnostic (it enumerates every cycle), kept as a test
-    oracle: loops that share a vertex compound, so no set of per-cycle gains
-    decides convergence.  ``check_stability`` reports max_omega rho(H(omega))
-    instead.
-    """
-    omegas = _as_omegas(grid)
-    gains: dict[tuple[str, ...], float] = {}
-    for cycle in cycle_basis(process_graph(m)):
-        closed = DirectedPath(vertices=cycle + (cycle[0],))
-        gains[cycle] = float(np.abs(path_transfer(m, closed, omegas)).max())
-    return gains
 
 
 def freq_path_rule_check(

@@ -13,6 +13,7 @@ import numpy as np
 
 import test_properties as props
 from conftest import random_frontdoor, random_instrument, random_regression
+from cycle_oracle import loop_gain_report
 from svarpg.filters import acs_via_ma_infinity, acs_via_sep, ccf, direct_effect_filter, trek_monomial_filter
 from svarpg.graph import enumerate_treks, latent_projection, unrolled_paths
 from svarpg.identify import (
@@ -31,7 +32,6 @@ from svarpg.spectral import (
     freq_path_rule_check,
     frequency_grid,
     internal_spectrum,
-    loop_gain_report,
     spectral_density,
     trek_monomial_function,
 )

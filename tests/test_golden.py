@@ -3,12 +3,13 @@
 The files under ``tests/golden/`` were written by the CLI, e.g.
 ``svarpg ccf fixtures/graph_c.json --from X --to Y --lags 32``, and do not
 depend on the number of BLAS threads.  The ``validate``, ``ccf``, ``acs``,
-``simulate``, ``estimate`` and ``transfer --edge`` paths only read model
-coefficients or data and keep the order of floating-point operations, so no
-refactor may move them by one ulp.  The ``spectral``, ``transfer``,
-``decompose`` and both ``identify`` files carry the rounding of the frequency
-engine's per-frequency solve; regenerate a file only for an intended change
-of its numbers, and record the largest deviation that the change caused.
+``simulate`` and ``transfer --edge`` paths only read model coefficients or
+data and keep the order of floating-point operations, so no refactor may move
+them by one ulp.  The ``spectral``, ``transfer``, ``decompose`` and both
+``identify`` files carry the rounding of the frequency engine's per-frequency
+solve, and the ``estimate`` file that of Welch's fold and half-grid FFT;
+regenerate a file only for an intended change of its numbers, and record the
+largest deviation that the change caused.
 ``identify_unconfounded_graph_b_Y_64.csv`` pins a multi-edge ``identify``
 (M, X and Z -> Y).  ``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
 fixtures/graph_b.json --length 512 --seed 5`` and pins the observed-only

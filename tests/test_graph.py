@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from cycle_oracle import cycle_basis
 from svarpg.errors import SemanticError
 from svarpg.filters import ccf
 from svarpg.graph import (
     ProcessGraph,
-    cycle_basis,
     enumerate_paths,
     enumerate_treks,
     latent_projection,

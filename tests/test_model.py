@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, ar1, random_model
+from cycle_oracle import loop_gain_report
 from svarpg.errors import SchemaError, SemanticError
 from svarpg.model import (
     SvarModel,
@@ -15,7 +16,7 @@ from svarpg.model import (
     parse_model,
     process_graph,
 )
-from svarpg.spectral import edge_transfer, frequency_grid, loop_gain_report
+from svarpg.spectral import edge_transfer, frequency_grid
 
 
 GRAPH_A_DOC = {

@@ -17,7 +17,8 @@ import pytest
 from conftest import random_model
 from svarpg import spectral
 from svarpg.model import check_stability
-from svarpg.spectral import _per_frequency, spectral_density
+from svarpg.simulate import simulate
+from svarpg.spectral import _in_slices, _per_frequency, spectral_density
 
 SRC = str(Path(spectral.__file__).resolve().parents[1])
 
@@ -87,6 +88,26 @@ def test_the_earliest_failing_slice_is_raised_after_every_helper_joined(three_co
     assert threading.active_count() == before
 
 
+def test_slices_cover_the_range_in_order(three_cores):
+    assert _in_slices(10, 10, lambda lo, hi: (lo, hi)) == [(0, 3), (3, 6), (6, 10)]
+    assert _in_slices(2, 10, lambda lo, hi: (lo, hi)) == [(0, 1), (1, 2)]
+    assert _in_slices(10, 1, lambda lo, hi: (lo, hi)) == [(0, 10)]
+    assert three_cores.started == 3
+
+
+def test_a_helper_slice_exception_reaches_the_caller(three_cores):
+    def fail_in_the_last_slice(lo, hi):
+        if hi == 9:
+            raise KeyError(lo)
+        return lo
+
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="6"):
+        _in_slices(9, 9, fail_in_the_last_slice)
+    assert three_cores.started == 2
+    assert threading.active_count() == before
+
+
 def test_small_batches_start_no_thread(monkeypatch, graph_c):
     def no_thread(*args, **kwargs):
         raise AssertionError("a batch below the cutoff started a thread")
@@ -98,6 +119,7 @@ def test_small_batches_start_no_thread(monkeypatch, graph_c):
     assert np.array_equal(_per_frequency(np.linalg.eigvals, a), np.linalg.eigvals(a))
     spectral_density(graph_c, 256)
     check_stability(graph_c)
+    simulate(graph_c, 2 * spectral._PARALLEL_WORK // graph_c.n_processes - 1024, burn_in=1023)
 
 
 def _repeat_in_child(m, queue) -> None:

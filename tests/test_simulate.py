@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import importlib
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, ar1, random_model
+from svarpg import spectral
 from svarpg.errors import ExplosionError, SemanticError, TooShortError
 from svarpg.filters import acs_via_sep
 from svarpg.model import SvarModel, companion_matrix, contemporaneous_solve_matrix, load_model
 from svarpg.simulate import _innovations, simulate, welch_spectrum
 from svarpg.spectral import spectral_density
+
+simulate_module = importlib.import_module("svarpg.simulate")  # the package exports the function
 
 
 def _model(name: str) -> SvarModel:
@@ -39,6 +45,15 @@ def _step_loop(m: SvarModel, T: int, seed: int, burn_in: int) -> np.ndarray:
         state[:n] += eta[t]
         values[t] = state[:n]
     return values[burn_in:]
+
+
+def _one_stream_at_a_time(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
+    """Reference: every process's substream drawn in turn on the caller's thread."""
+    out = np.empty((m.n_processes, n_steps))
+    for idx, name in enumerate(m.processes):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
+        out[idx] = np.sqrt(m.noise_var[name]) * rng.standard_normal(n_steps)
+    return out.T
 
 
 def _welch_loop(data: np.ndarray, segment_len: int, overlap: float, grid: int) -> np.ndarray:
@@ -238,15 +253,16 @@ def test_seed_range_is_semantic_error():
 
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
 @pytest.mark.parametrize("observed_only", [True, False])
-def test_welch_matches_segment_loop(instrument_model, overlap, observed_only):
+@pytest.mark.parametrize("segment_len,grid", [(512, 128), (375, 75)])
+def test_welch_matches_segment_loop(instrument_model, overlap, observed_only, segment_len, grid):
     traj = simulate(instrument_model, T=20_000, seed=8)
     est = welch_spectrum(
-        traj, segment_len=512, overlap=overlap, grid=128, observed_only=observed_only
+        traj, segment_len=segment_len, overlap=overlap, grid=grid, observed_only=observed_only
     )
     data = traj.observed() if observed_only else traj.values
-    want = _welch_loop(data, 512, overlap, 128)
-    step = max(1, int(round(512 * (1.0 - overlap))))
-    assert est.segment_count == len(range(0, 20_000 - 512 + 1, step))
+    want = _welch_loop(data, segment_len, overlap, grid)
+    step = max(1, int(round(segment_len * (1.0 - overlap))))
+    assert est.segment_count == len(range(0, 20_000 - segment_len + 1, step))
     assert est.values.shape == want.shape
     assert np.abs(est.values - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -258,3 +274,49 @@ def test_welch_nonpositive_sizes_are_semantic_errors(segment_len, grid):
     traj = simulate(ar1(0.5), T=8192, seed=0)
     with pytest.raises(SemanticError):
         welch_spectrum(traj, segment_len=segment_len, overlap=0.5, grid=grid)
+
+
+# an even grid, an odd one, one bin per segment sample, and the single bin omega = 0
+@pytest.mark.parametrize("segment_len,grid", [(512, 128), (375, 75), (256, 256), (128, 1)])
+def test_welch_bins_are_exact_conjugate_mirrors(instrument_model, segment_len, grid):
+    traj = simulate(instrument_model, T=8000, seed=8)
+    values = welch_spectrum(traj, segment_len=segment_len, overlap=0.5, grid=grid).values
+    k = np.arange(1, grid)
+    assert np.array_equal(values[grid - k], np.conj(values[k]))
+    assert not values[0].imag.any()
+
+
+@pytest.mark.parametrize("cores", [1, 8])
+def test_innovations_split_across_cores_equal_one_stream_at_a_time(monkeypatch, cores):
+    m = _model("cyclic_latent")  # five processes, so 8 cores give one row each
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(spectral, "_PARALLEL_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    for n_steps in (1, 7, 4096):
+        assert np.array_equal(_innovations(m, n_steps, 11), _one_stream_at_a_time(m, n_steps, 11))
+    assert len(started) == (0 if cores == 1 else 3 * (m.n_processes - 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", [0, 2])
+def test_nonfinite_trajectory_raises_without_warnings(monkeypatch, bad, order):
+    coeffs = {("A", "A", 1): 0.5, ("A", "B", order): 0.3} if order else {("A", "B", 0): 0.3}
+
+    def poisoned(m, n_steps, seed):
+        eta = _innovations(m, n_steps, seed)
+        eta[n_steps // 2, 0] = bad
+        return eta
+
+    m = SvarModel(observed=("A", "B"), latents=(), order=order, coeffs=coeffs, noise_var={"A": 1.0, "B": 1.0})
+    monkeypatch.setattr(simulate_module, "_innovations", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExplosionError):
+            simulate(m, T=3000, seed=2)

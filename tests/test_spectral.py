@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
+from cycle_oracle import loop_gain_report
 from svarpg import spectral
 from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
@@ -20,7 +21,6 @@ from svarpg.spectral import (
     freq_path_rule_check,
     frequency_grid,
     internal_spectrum,
-    loop_gain_report,
     spectral_density,
     trek_monomial_function,
 )
