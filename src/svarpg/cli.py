@@ -255,75 +255,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="svarpg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # parent parsers: each flag shared by several subcommands is declared once
+    model_doc, grid, pair, controls = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    model_doc.add_argument("model")
+    grid.add_argument("--grid", type=int, default=256)
+    pair.add_argument("--from", dest="source", required=True)
+    pair.add_argument("--to", dest="target", required=True)
+    controls.add_argument("--controls", default=None)
+
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(fn=fn, usage_error=p.error)
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         return p
 
-    p = add("validate", _cmd_validate, help="stability report (JSON)")
-    p.add_argument("model")
-    p.add_argument("--grid", type=int, default=256)
+    add("validate", _cmd_validate, model_doc, grid, help="stability report (JSON)")
 
-    p = add("paths", _cmd_paths, help="enumerate directed paths on the process graph")
-    p.add_argument("model")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
+    p = add("paths", _cmd_paths, model_doc, pair, help="enumerate directed paths on the process graph")
     p.add_argument("--avoid", default=None, help="comma-separated vertices")
     p.add_argument("--max-cycle-depth", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add("transfer", _cmd_transfer, help="causal transfer function between processes")
-    p.add_argument("model")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--controls", default=None)
-    p.add_argument("--grid", type=int, default=256)
+    p = add(
+        "transfer", _cmd_transfer, model_doc, pair, controls, grid, help="causal transfer function between processes"
+    )
     p.add_argument("--edge", action="store_true", help="emit the raw edge function instead")
 
-    p = add("spectral", _cmd_spectral, help="analytic spectral density matrix")
-    p.add_argument("model")
-    p.add_argument("--grid", type=int, default=256)
+    add("spectral", _cmd_spectral, model_doc, grid, help="analytic spectral density matrix")
 
-    p = add("decompose", _cmd_decompose, help="causal / confounding / residual split")
-    p.add_argument("model")
+    p = add("decompose", _cmd_decompose, model_doc, grid, help="causal / confounding / residual split")
     p.add_argument("--ancestor", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--grid", type=int, default=256)
     p.add_argument("--by-source", action="store_true")
 
-    p = add("acs", _cmd_acs, help="auto-covariance sequence (CSV)")
-    p.add_argument("model")
+    p = add("acs", _cmd_acs, model_doc, help="auto-covariance sequence (CSV)")
     p.add_argument("--lags", type=int, default=64)
     p.add_argument("--filter-lags", type=int, default=128)
 
-    p = add("ccf", _cmd_ccf, help="controlled causal effect filter (CSV)")
-    p.add_argument("model")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--controls", default=None)
+    p = add("ccf", _cmd_ccf, model_doc, pair, controls, help="controlled causal effect filter (CSV)")
     p.add_argument("--lags", type=int, default=128)
 
-    p = add("simulate", _cmd_simulate, help="sample a trajectory (CSV)")
-    p.add_argument("model")
+    p = add("simulate", _cmd_simulate, model_doc, help="sample a trajectory (CSV)")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=1024)
     p.add_argument("--include-latents", action="store_true")
 
-    p = add("estimate", _cmd_estimate, help="Welch spectral estimate from a series CSV")
+    p = add("estimate", _cmd_estimate, grid, help="Welch spectral estimate from a series CSV")
     p.add_argument("series")
     p.add_argument("--segment-len", type=int, default=4096)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--grid", type=int, default=256)
 
-    p = add("identify", _cmd_identify, help="recover edge transfer functions")
+    p = add("identify", _cmd_identify, grid, help="recover edge transfer functions")
     p.add_argument("model", nargs="?", default=None)
     p.add_argument("--method", choices=("frontdoor", "instrument", "unconfounded"), required=True)
     p.add_argument("--labels", default=None, help="X,W,Y roles for frontdoor/instrument")
     p.add_argument("--target", default=None, help="regression target for unconfounded")
     p.add_argument("--spectrum", default=None, help="spectral CSV instead of a model")
-    p.add_argument("--grid", type=int, default=256)
 
     return parser
 

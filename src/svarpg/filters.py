@@ -351,7 +351,11 @@ def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
     """Covariance filter of the observed noise block: internal dynamics plus
     the direct latent contributions.  Off-diagonal entries are exactly the
     latent confounding captured by bidirected edges of the latent projection;
-    they exist only when every process's internal dynamics 1 - a_j(z) are stable."""
+    they exist only when every process's internal dynamics 1 - a_j(z) are stable.
+
+    The internal block lives on [-L, L]; the latent part on [-2L, 2L], or wider
+    with latent feedback, so the internal block is added into that slice of it.
+    """
     _certify_own(m)
     n = m.n_observed
     out = _internal_acs(m, slice(None, n), L)
@@ -362,16 +366,10 @@ def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
             lam_inf = FiniteFilter(start=0, values=_filter_series(m, L, slice(n, None), paths=False))
             c_lat = convolve(lam_inf.transpose(), tilted_convolve(c_lat, lam_inf))
         latent_part = convolve(gamma.transpose(), tilted_convolve(c_lat, gamma))
-        merged = FiniteFilter.zeros(
-            max(out.end, latent_part.end) - min(out.start, latent_part.start) + 1,
-            out.rows,
-            out.cols,
-            start=min(out.start, latent_part.start),
-        )
-        for part in (out, latent_part):
-            lo = part.start - merged.start
-            merged.values[lo : lo + part.n_lags] += part.values
-        return merged
+        lo = out.start - latent_part.start
+        latent_part.values[lo : lo + out.n_lags] += out.values
+        latent_part.values[...] += 0.0  # an exact zero is 0.0, never -0.0
+        return latent_part
     return out
 
 

@@ -11,6 +11,7 @@ minimal cycles.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -156,7 +157,7 @@ def latent_projection(g: ProcessGraph) -> LatentProjection:
 
     bidirected: set[tuple[str, str]] = set()
     for top in g.latents:
-        reachable = _observed_reach_through_latents(g, top, latents)
+        reachable = _reach(g, top, lambda v: v in latents) - latents
         for v in reachable:
             for w in reachable:
                 if v != w:
@@ -166,21 +167,18 @@ def latent_projection(g: ProcessGraph) -> LatentProjection:
     )
 
 
-def _observed_reach_through_latents(g: ProcessGraph, top: str, latents: set) -> set:
-    """Observed vertices reachable from a latent top via latent-interior paths."""
-    seen_latent = {top}
-    frontier = [top]
-    observed_hits = set()
+def _reach(g, start: str, expand) -> set[str]:
+    """Vertices at the end of a directed path of one or more edges from ``start``
+    whose interior vertices all satisfy ``expand``; ``start`` is in it only on a cycle."""
+    seen: set[str] = set()
+    frontier = [start]
     while frontier:
-        src = frontier.pop()
-        for dst in g.successors(src):
-            if dst in latents:
-                if dst not in seen_latent:
-                    seen_latent.add(dst)
+        for dst in g.successors(frontier.pop()):
+            if dst not in seen:
+                seen.add(dst)
+                if expand(dst):
                     frontier.append(dst)
-            else:
-                observed_hits.add(dst)
-    return observed_hits
+    return seen
 
 
 def _canonical_rotation(cycle: tuple[str, ...]) -> tuple[str, ...]:
@@ -285,7 +283,11 @@ def unrolled_paths(
         if val != 0.0 and dst not in blocked
     ]
     contemporaneous = {(src, dst) for src, dst, lag, _ in live_edges if lag == 0}
-    topo = _topological_order(m.processes, contemporaneous)
+    incoming = {n: {src for src, dst in contemporaneous if dst == n} for n in m.processes}
+    try:
+        topo = list(graphlib.TopologicalSorter(incoming).static_order())
+    except graphlib.CycleError:
+        raise SemanticError("contemporaneous edges form a cycle; oracle unavailable") from None
 
     out_edges: dict[str, list[tuple[str, int, float]]] = {n: [] for n in m.processes}
     for src, dst, lag, val in live_edges:
@@ -305,19 +307,3 @@ def unrolled_paths(
                     acc += coeff * value.get((dst, nxt), 0.0)
             value[(name, idx)] = acc
     return value[(x, 0)]
-
-
-def _topological_order(names: tuple[str, ...], edges: set) -> list[str]:
-    """Topological order of the contemporaneous subgraph; error if cyclic."""
-    incoming = {n: {src for src, dst in edges if dst == n} for n in names}
-    order: list[str] = []
-    placed: set[str] = set()
-    pending = list(names)
-    while pending:
-        ready = [n for n in pending if incoming[n] <= placed]
-        if not ready:
-            raise SemanticError("contemporaneous edges form a cycle; oracle unavailable")
-        order.append(ready[0])
-        placed.add(ready[0])
-        pending.remove(ready[0])
-    return order

@@ -24,7 +24,7 @@ from .errors import (
     NotIdentifiableError,
     SemanticError,
 )
-from .graph import LatentProjection
+from .graph import LatentProjection, _reach
 from .spectral import SpectralMatrix, _solve
 
 DENOM_THRESHOLD = 1e-9
@@ -121,7 +121,7 @@ def identify_unconfounded_parents(
     for a, b in projection.bidirected:
         if target in (a, b):
             raise ConfoundedTargetError(f"{target} has an incident bidirected edge")
-    if _on_directed_cycle(projection, target):
+    if target in _reach(projection, target, lambda _: True):
         raise ConfoundedTargetError(f"{target} lies on a directed cycle")
 
     parents = sorted(
@@ -200,18 +200,3 @@ def _neighbour_limit(
                 term *= (0.0 - angle(jj)) / (angle(i) - angle(jj))
         total += term
     return total
-
-
-def _on_directed_cycle(projection: LatentProjection, v: str) -> bool:
-    """True when v can reach itself through directed edges."""
-    frontier = [dst for src, dst in projection.directed if src == v]
-    seen = set()
-    while frontier:
-        node = frontier.pop()
-        if node == v:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(dst for src, dst in projection.directed if src == node)
-    return False

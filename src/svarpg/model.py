@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -202,15 +202,7 @@ class StabilityReport:
         return self.stable and self.loop_spectral_radius < STABLE_RADIUS
 
     def to_document(self) -> dict:
-        return {
-            "per_process_auto_sum": dict(self.per_process_auto_sum),
-            "auto_sums_below_one": self.auto_sums_below_one,
-            "grand_sum_below_one": self.grand_sum_below_one,
-            "companion_spectral_radius": self.companion_spectral_radius,
-            "stable": self.stable,
-            "loop_spectral_radius": self.loop_spectral_radius,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def parse_document(doc: dict) -> SvarModel:

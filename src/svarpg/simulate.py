@@ -22,7 +22,8 @@ of length grid summed), and real data need only bins 0..grid//2 of that DFT,
 from ``np.fft.rfft``.  The cross-periodograms are accumulated on that half
 grid, over chunks of segments whose size follows from a fixed memory budget,
 and mirrored once by conjugation onto the full grid, as the frequency engine
-mirrors its solves (``spectral._mirror``).
+mirrors its solves (``spectral._mirror``), on the engine's ``frequency_grid``.
+The estimate is a ``spectral.SpectralMatrix`` that also records how it was made.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExplosionError, SemanticError, TooShortError
 from .model import SvarModel, companion_matrix, contemporaneous_solve_matrix
-from .spectral import _in_slices, _mirror
+from .spectral import SpectralMatrix, _in_slices, _mirror, frequency_grid
 
 _EXPLOSION_LIMIT = 1e12
 # bound on the tapered copy of one chunk of segments, the largest temporary of
@@ -65,18 +66,12 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class SpectralEstimate:
-    """Averaged tapered cross-periodogram on an equispaced grid."""
+class SpectralEstimate(SpectralMatrix):
+    """A spectral matrix averaged from tapered cross-periodograms on an equispaced grid."""
 
-    labels: tuple[str, ...]
-    omegas: np.ndarray
-    values: np.ndarray  # (N, m, m) complex, hermitian per frequency
     segment_count: int
     segment_len: int
     taper: str
-
-    def entry(self, v: str, w: str) -> np.ndarray:
-        return self.values[:, self.labels.index(v), self.labels.index(w)]
 
 
 def _innovations(m: SvarModel, n_steps: int, seed: int) -> np.ndarray:
@@ -188,10 +183,9 @@ def welch_spectrum(
         bins = np.fft.rfft(folded, axis=-1)
         half += bins.transpose(2, 1, 0) @ np.conj(bins).transpose(2, 0, 1)
     half /= count * norm
-    omegas = 2.0 * np.pi * np.arange(grid) / grid
     return SpectralEstimate(
         labels=labels,
-        omegas=omegas,
+        omegas=frequency_grid(grid),
         values=_mirror(half, grid),
         segment_count=count,
         segment_len=segment_len,

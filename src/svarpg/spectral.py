@@ -1,14 +1,17 @@
 """Frequency-domain representation: transfer functions, spectra, decompositions.
 
-Every edge carries a rational transfer function on the complex unit circle
-(numerator from the cross coefficients, denominator from the target's
-auto-dependencies).  Spectra, cctf and per-source splits solve on the one
-matrix M(omega) = I - sum_k Phi_k exp(-i omega k) and divide by no 1 - a_j(z):
-S = X X^H with X = M^{-T} diag(sigma).  Spectral densities follow the plain
-Fourier sum of the auto-covariance sequence, with no 1/2pi normalization.
+Every lag sequence reaches the complex unit circle through one evaluator,
+``_on_circle``: M(omega), the edge transfer functions H(omega) (numerator from
+the cross coefficients, denominator from the target's auto-dependencies), the
+denominators and ``fourier``.  Spectra, cctf and per-source splits solve on the
+one matrix M(omega) = I - sum_k Phi_k exp(-i omega k) and divide by no
+1 - a_j(z): S = X X^H with X = M^{-T} diag(sigma).  Spectral densities follow
+the plain Fourier sum of the auto-covariance sequence, with no 1/2pi
+normalization.
 Frequency grids are equispaced on [0, 2pi).  An int grid is solved on its
 points in [0, pi] and mirrored, F(2pi - omega) = conj F(omega) for real
-coefficients; an explicit array is solved point by point; the two agree to rounding.
+coefficients, with no -0.0 on the mirrored half; an explicit array is solved
+point by point; the two agree to rounding.
 
 A spectrum exists only for a stationary process: ``_noise_factor`` certifies
 its block's companion radius and ``model._certify_own`` the internal dynamics
@@ -71,7 +74,18 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     by F(omega_{n-j}) = conj F(omega_j); the points omega = 0, and pi for even n,
     are set to their real part in place."""
     half[:: (n + 1) // 2] = half[:: (n + 1) // 2].real
-    return np.concatenate([half, np.conj(half[1 : (n + 1) // 2][::-1])])
+    full = np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
+    if np.iscomplexobj(full):  # conj as 0.0 - im: an exactly real value keeps +0.0, not -0.0
+        np.subtract(0.0, full.imag[len(half) :], out=full.imag[len(half) :])
+    return full
+
+
+def _on_circle(coeffs: np.ndarray, omegas: np.ndarray, start: int = 0) -> np.ndarray:
+    """sum_k coeffs[k] z^(start + k) at z = exp(-i omega), the one evaluation of a
+    lag sequence on the unit circle: lag on axis 0 of ``coeffs``, frequency on
+    axis 0 of the result, the other axes kept."""
+    table = np.exp(-1j * omegas)[:, None] ** (start + np.arange(len(coeffs)))
+    return (table @ coeffs.reshape(len(coeffs), -1)).reshape(len(omegas), *coeffs.shape[1:])
 
 
 def _nonzero(d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -99,10 +113,7 @@ class RationalTransfer:
 
     def evaluate(self, omegas: np.ndarray | float) -> np.ndarray:
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        z = np.exp(-1j * omegas)
-        powers = z[:, None] ** np.arange(len(self.den))[None, :]
-        num = powers[:, : len(self.num)] @ self.num
-        return num / _nonzero(powers @ self.den, omegas)
+        return _on_circle(self.num, omegas) / _nonzero(_on_circle(self.den, omegas), omegas)
 
 
 @dataclass(frozen=True)
@@ -170,10 +181,7 @@ def edge_transfer(m: SvarModel, v: str, w: str) -> RationalTransfer:
     """
     if v == w:
         raise SemanticError("edge transfer requires distinct processes")
-    num = m.cross_coeffs(v, w)
-    den = -m.auto_coeffs(w)
-    den[0] = 1.0
-    return RationalTransfer(num=num, den=den)
+    return RationalTransfer(num=m.cross_coeffs(v, w), den=_own(m)[:, m._index(w)])
 
 
 def internal_spectrum(m: SvarModel, v: str, omegas: int | np.ndarray) -> np.ndarray:
@@ -182,25 +190,21 @@ def internal_spectrum(m: SvarModel, v: str, omegas: int | np.ndarray) -> np.ndar
     i = m._index(v)
     _certify_own(m, slice(i, i + 1))
     omegas = _as_omegas(omegas)
-    d = _denominators(m, omegas)[1][:, i]
+    d = _on_circle(_own(m), omegas)[:, i]
     return m.noise_var[v] / np.abs(_nonzero(d, omegas)) ** 2
 
 
 def fourier(f: FiniteFilter, grid: int | np.ndarray) -> TransferGrid:
     """Direct evaluation of sum_s f(s) exp(-i omega s) on the grid."""
     omegas = _as_omegas(grid)
-    lags = f.start + np.arange(f.n_lags)
-    phases = np.exp(-1j * np.outer(omegas, lags))
-    values = np.einsum("wt,trc->wrc", phases, f.values)
-    return TransferGrid(omegas=omegas, values=values)
+    return TransferGrid(omegas=omegas, values=_on_circle(f.values, omegas, f.start))
 
 
-def _denominators(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Powers z^k, shape (N, p + 1), and D[:, j] = 1 - sum_k a_j(k) z^k, shape (N, n)."""
-    powers = np.exp(-1j * omegas)[:, None] ** np.arange(m.order + 1)[None, :]
+def _own(m: SvarModel) -> np.ndarray:
+    """Coefficients of D_j(z) = 1 - sum_k a_j(k) z^k, lag on axis 0 and process j on axis 1."""
     den = -np.diagonal(m.Phi, axis1=1, axis2=2)
     den[0] = 1.0
-    return powers, powers @ den
+    return den
 
 
 def _transfer(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +214,15 @@ def _transfer(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     grid, evaluated only at edge-mask positions and exactly zero elsewhere;
     ``D[:, j] = 1 - sum_k a_j(k) z^k`` carries the auto-dependencies of
     process j.  Shapes (N, n, n) and (N, n).  A zero D of a process that some
-    edge enters is a SingularAtFrequencyError.
+    edge enters is a SingularAtFrequencyError.  D and the edge numerators are
+    the columns of one evaluation, so the table of powers is built once.
     """
-    powers, d = _denominators(m, omegas)
+    n = m.n_processes
     rows, cols = np.nonzero(m._edge_mask)
-    h = np.zeros((len(omegas), m.n_processes, m.n_processes), dtype=complex)
-    h[:, rows, cols] = (powers @ m.Phi[:, rows, cols]) / _nonzero(d[:, cols], omegas)
+    both = _on_circle(np.hstack([_own(m), m.Phi[:, rows, cols]]), omegas)
+    d = both[:, :n]
+    h = np.zeros((len(omegas), n, n), dtype=complex)
+    h[:, rows, cols] = both[:, n:] / _nonzero(d[:, cols], omegas)
     return h, d
 
 
@@ -313,9 +320,8 @@ def _reduced(m: SvarModel, omegas: np.ndarray, block: slice, cut: Iterable[int] 
     live = (phi != 0.0).any(axis=0)
     live[:, list(cut)] = False
     rows, cols = np.nonzero(live)
-    powers = np.exp(-1j * omegas)[:, None] ** np.arange(m.order + 1)[None, :]
     out = np.zeros((len(omegas),) + live.shape, dtype=complex)
-    out[:, rows, cols] = -(powers @ phi[:, rows, cols])
+    out[:, rows, cols] = -_on_circle(phi[:, rows, cols], omegas)
     diag = np.arange(len(live))
     out[:, diag, diag] += 1.0
     return out

@@ -287,6 +287,16 @@ def test_simulate_estimate_round_trip(tmp_path, capsys, graph_a):
     assert float(first_xx.split(",")[4]) == pytest.approx(analytic, rel=0.5)
 
 
+def test_estimate_csv_prints_no_negative_zero(tmp_path):
+    # the diagonal is exactly real on the half grid; its mirrored rows print 0.0 as well
+    out = tmp_path / "estimate.csv"
+    series = str(FIXTURES / "graph_b_series_512_5.csv")
+    assert run(["estimate", series, "--segment-len", "128", "--grid", "32", "-o", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row for row in rows if float(row[0]) > math.pi and row[5] == "0.0"]
+    assert not [row for row in rows if "-0.0" in (row[5], row[7])]
+
+
 def test_identify_from_spectrum_csv(tmp_path, capsys, graph_a):
     spectrum_csv = tmp_path / "s.csv"
     code, _, _ = _run(capsys, "spectral", GRAPH_A, "--grid", "32", "-o", str(spectrum_csv))

@@ -9,7 +9,10 @@ them by one ulp.  The ``spectral``, ``transfer``, ``decompose`` and both
 ``identify`` files carry the rounding of the frequency engine's per-frequency
 solve, and the ``estimate`` file that of Welch's fold and half-grid FFT;
 regenerate a file only for an intended change of its numbers, and record the
-largest deviation that the change caused.
+largest deviation that the change caused.  The ``estimate`` file was last
+regenerated when the mirror stopped conjugating an exact 0.0 into -0.0: its
+60 diagonal rows at mirrored frequencies now print ``0.0``, not ``-0.0``, as
+``im`` and ``phase``, and no value moved.
 ``identify_unconfounded_graph_b_Y_64.csv`` pins a multi-edge ``identify``
 (M, X and Z -> Y).  ``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
 fixtures/graph_b.json --length 512 --seed 5`` and pins the observed-only

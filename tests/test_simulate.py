@@ -14,7 +14,7 @@ from svarpg.errors import ExplosionError, SemanticError, TooShortError
 from svarpg.filters import acs_via_sep
 from svarpg.model import SvarModel, companion_matrix, contemporaneous_solve_matrix, load_model
 from svarpg.simulate import _innovations, simulate, welch_spectrum
-from svarpg.spectral import spectral_density
+from svarpg.spectral import SpectralMatrix, spectral_density
 
 simulate_module = importlib.import_module("svarpg.simulate")  # the package exports the function
 
@@ -284,6 +284,22 @@ def test_welch_bins_are_exact_conjugate_mirrors(instrument_model, segment_len, g
     k = np.arange(1, grid)
     assert np.array_equal(values[grid - k], np.conj(values[k]))
     assert not values[0].imag.any()
+
+
+def test_welch_mirror_has_no_negative_zero_where_the_half_grid_is_real(graph_b):
+    # conj(x + 0j) is x - 0j; an exactly real bin must mirror to +0.0, as it prints
+    values = welch_spectrum(simulate(graph_b, T=512, seed=5), segment_len=128, grid=32).values
+    real = values.imag == 0.0
+    assert real[32 // 2 + 1 :].any()  # here some diagonal entries are exactly real on both halves
+    assert not np.signbit(values.imag[real]).any()
+
+
+def test_spectral_estimate_is_a_spectral_matrix(instrument_model):
+    est = welch_spectrum(simulate(instrument_model, T=4096, seed=1), segment_len=512, grid=32)
+    assert isinstance(est, SpectralMatrix)
+    assert np.array_equal(est.entry("M", "X"), est.values[:, 1, 0])
+    with pytest.raises(SemanticError, match="no process Q"):
+        est.entry("X", "Q")
 
 
 @pytest.mark.parametrize("cores", [1, 8])
