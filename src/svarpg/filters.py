@@ -145,6 +145,11 @@ def tilted_convolve(a: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
     return FiniteFilter(start=a.start - b.end, values=_lag_convolve(a.values, b.values[::-1]))
 
 
+def _sandwich(a: FiniteFilter, c: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
+    """The trek rule's congruence a^T * c ^* b in the lag domain."""
+    return convolve(a.transpose(), tilted_convolve(c, b))
+
+
 def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     """lam[s] = b[s] + sum_{j=1..min(s,p)} lam[s-j] a[j] for s = 0..L (b[s] = 0 past p).
 
@@ -186,15 +191,11 @@ def direct_effect_filter(m: SvarModel, v: str, w: str, L: int) -> FiniteFilter:
             "direct effect filters are defined for distinct processes; "
             "auto-dependencies live in the internal dynamics filter"
         )
-    if w not in m.processes or v not in m.processes:
-        raise SemanticError(f"unknown process in pair ({v}, {w})")
     return FiniteFilter.from_scalar(_lag_recursion(m.auto_coeffs(w), m.cross_coeffs(v, w), L))
 
 
 def internal_dynamics_filter(m: SvarModel, v: str, L: int) -> FiniteFilter:
     """Response of a process to its own innovation through its auto-dependencies."""
-    if v not in m.processes:
-        raise SemanticError(f"unknown process {v}")
     return FiniteFilter.from_scalar(_lag_recursion(m.auto_coeffs(v), _impulse(m), L))
 
 
@@ -364,8 +365,8 @@ def projected_noise_acs(m: SvarModel, L: int = 128) -> FiniteFilter:
         c_lat = _internal_acs(m, slice(n, None), L)
         if m._edge_mask[n:, n:].any():  # latents driving each other
             lam_inf = FiniteFilter(start=0, values=_filter_series(m, L, slice(n, None), paths=False))
-            c_lat = convolve(lam_inf.transpose(), tilted_convolve(c_lat, lam_inf))
-        latent_part = convolve(gamma.transpose(), tilted_convolve(c_lat, gamma))
+            c_lat = _sandwich(lam_inf, c_lat, lam_inf)
+        latent_part = _sandwich(gamma, c_lat, gamma)
         lo = out.start - latent_part.start
         latent_part.values[lo : lo + out.n_lags] += out.values
         latent_part.values[...] += 0.0  # an exact zero is 0.0, never -0.0
@@ -382,8 +383,7 @@ def acs_via_sep(m: SvarModel, L_acs: int = 64, L_filter: int = 128) -> AcsSequen
     _check_horizon(L_acs)
     lam_inf = lambda_infinity(m, L_filter)
     c_li = projected_noise_acs(m, L_filter)
-    composite = convolve(lam_inf.transpose(), tilted_convolve(c_li, lam_inf))
-    return _two_sided_to_acs(m.observed, composite, L_acs)
+    return _two_sided_to_acs(m.observed, _sandwich(lam_inf, c_li, lam_inf), L_acs)
 
 
 def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsSequence:
@@ -395,11 +395,11 @@ def acs_via_ma_infinity(m: SvarModel, L_acs: int = 64, L_psi: int = 512) -> AcsS
     certified radius, NonConvergentError at the cap), then Gamma(tau) = C
     Gamma(tau - 1).  ``tail_bound`` is the last doubling increment, which is
     not a bound on the covariances beyond ``L_acs`` (ROADMAP item 2).  ``L_psi``
-    no longer changes the value; it stays, with its checks, for positional callers.
+    changes no value and is ignored, except that a negative one is a
+    SemanticError; it stays for positional callers.
     """
     _check_horizon(L_acs)
-    if L_psi < L_acs:
-        raise SemanticError(f"MA horizon {L_psi} is shorter than the ACS horizon {L_acs}")
+    _check_horizon(L_psi)
     comp = companion_matrix(m)
     rho = _certify(_companion_radius(m), "companion spectral radius")
     n, k = m.n_processes, len(comp)
@@ -457,4 +457,4 @@ def trek_monomial_filter(m: SvarModel, trek: Trek, L: int = 128) -> FiniteFilter
             out = prefixes[prefix]
         return out
 
-    return convolve(path_filter(trek.left), tilted_convolve(middle, path_filter(trek.right)))
+    return _sandwich(path_filter(trek.left), middle, path_filter(trek.right))

@@ -12,6 +12,7 @@ minimal cycles.
 from __future__ import annotations
 
 import graphlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -157,11 +158,7 @@ def latent_projection(g: ProcessGraph) -> LatentProjection:
 
     bidirected: set[tuple[str, str]] = set()
     for top in g.latents:
-        reachable = _reach(g, top, lambda v: v in latents) - latents
-        for v in reachable:
-            for w in reachable:
-                if v != w:
-                    bidirected.add((v, w))
+        bidirected.update(itertools.permutations(_reach(g, top, lambda v: v in latents) - latents, 2))
     return LatentProjection(
         observed=g.observed, directed=directed, bidirected=frozenset(bidirected)
     )
@@ -199,13 +196,15 @@ def enumerate_paths(
     Endpoints are exempt from ``avoid``; this matches the avoiding-path sets
     behind controlled effect filters, where the cause sits in the avoid set
     but still starts the path.  Each minimal cycle may be traversed at most
-    ``max_cycle_depth`` times (first-repeat excision count).  On acyclic
-    graphs the stream is exhaustive for any depth, and the empty path is
-    produced when frm == to.
+    ``max_cycle_depth`` times (first-repeat excision count); a negative depth
+    is a SemanticError.  On acyclic graphs the stream is exhaustive for any
+    depth, and the empty path is produced when frm == to.
     """
     avoid = set(avoid)
     if to in avoid:
         raise SemanticError("target vertex cannot be avoided")
+    if max_cycle_depth < 0:
+        raise SemanticError(f"cycle depth {max_cycle_depth} is negative")
 
     def walk(path: list[str], reduced: list[str], counts: dict) -> Iterator[DirectedPath]:
         if path[-1] == to:
@@ -241,17 +240,14 @@ def enumerate_treks(
 
     Shared-top treks pair directed walks top -> v and top -> w; bidirected
     treks pair walks from the two endpoints of a bidirected edge.  Cycle
-    traversal is bounded per side.
+    traversal is bounded per side.  The walks follow the projection's directed
+    edges only (``LatentProjection.successors``).
     """
-    directed_view = gp.as_directed_only()
-    for top in gp.observed:
-        for left in enumerate_paths(directed_view, top, v, max_cycle_depth=max_cycle_depth):
-            for right in enumerate_paths(directed_view, top, w, max_cycle_depth=max_cycle_depth):
-                yield Trek(left=left, right=right)
-    for a, b in sorted(gp.bidirected):
-        for left in enumerate_paths(directed_view, a, v, max_cycle_depth=max_cycle_depth):
-            for right in enumerate_paths(directed_view, b, w, max_cycle_depth=max_cycle_depth):
-                yield Trek(left=left, right=right, bidirected=(a, b))
+    starts = [(top, top, None) for top in gp.observed] + [(a, b, (a, b)) for a, b in sorted(gp.bidirected)]
+    for a, b, edge in starts:
+        for left in enumerate_paths(gp, a, v, max_cycle_depth=max_cycle_depth):
+            for right in enumerate_paths(gp, b, w, max_cycle_depth=max_cycle_depth):
+                yield Trek(left=left, right=right, bidirected=edge)
 
 
 def unrolled_paths(

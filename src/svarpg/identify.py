@@ -55,9 +55,7 @@ def identify_frontdoor(s: SpectralMatrix, labels: tuple[str, str, str]) -> Ident
     whose spectrum is the denominator below.
     """
     x, w, y = _three_distinct(labels)
-    s_x = s.entry(x, x).real
-    _guard_positive(s_x, s.omegas)
-    h_xw = s.entry(w, x) / s_x
+    s_x, h_xw = _regress(s, x, w)
 
     denom = (
         s.entry(w, w).real
@@ -84,9 +82,7 @@ def identify_instrument(s: SpectralMatrix, labels: tuple[str, str, str]) -> Iden
     by a local polynomial limit from neighbouring grid points and flagged.
     """
     x, mm, y = _three_distinct(labels)
-    s_x = s.entry(x, x).real
-    _guard_positive(s_x, s.omegas)
-    h_xm = s.entry(mm, x) / s_x
+    _, h_xm = _regress(s, x, mm)
 
     denom = s.entry(mm, x)
     good = np.abs(denom) >= DENOM_THRESHOLD
@@ -132,14 +128,12 @@ def identify_unconfounded_parents(
         raise SemanticError(f"{target} has no parents to regress on")
 
     n = len(s.omegas)
-    k = len(parents)
-    # S[target, u] = sum_p h_{p->target} S[p, u] for each parent u
-    gram = np.empty((n, k, k), dtype=complex)
-    rhs = np.empty((n, k), dtype=complex)
-    for a, u in enumerate(parents):
-        rhs[:, a] = s.entry(target, u)
-        for b, p in enumerate(parents):
-            gram[:, a, b] = s.entry(p, u)
+    # S[target, u] = sum_p h_{p->target} S[p, u] for each parent u: gram[:, a, b]
+    # is S[parents[b], parents[a]] and rhs[:, a] is S[target, parents[a]]
+    t = s._position(target)
+    pos = np.array([s._position(p) for p in parents])
+    gram = s.values[:, pos[None, :], pos[:, None]]
+    rhs = s.values[:, t, pos]
     conds = np.linalg.cond(gram)
     bad = conds > 1.0 / DENOM_THRESHOLD
     if bad.any():
@@ -160,6 +154,13 @@ def _three_distinct(labels: tuple[str, str, str]) -> tuple[str, str, str]:
     return labels
 
 
+def _regress(s: SpectralMatrix, x: str, w: str) -> tuple[np.ndarray, np.ndarray]:
+    """The guarded spectrum S_x and the spectral regression S[w, x] / S_x of w on x."""
+    s_x = s.entry(x, x).real
+    _guard_positive(s_x, s.omegas)
+    return s_x, s.entry(w, x) / s_x
+
+
 def _guard_positive(values: np.ndarray, omegas: np.ndarray) -> None:
     bad = np.abs(values) < 1e-12
     if bad.any():
@@ -174,29 +175,21 @@ def _neighbour_limit(
     The grid is circular; distances wrap at 2 pi.  Three valid neighbours give
     a local Lagrange estimate of the removable singularity.
     """
-    n = len(omegas)
-    order = sorted(
-        (i for i in range(n) if good[i]),
-        key=lambda i: min(abs(i - idx), n - abs(i - idx)),
-    )
-    support = order[:3]
-    if not support:
+    valid = np.flatnonzero(good)
+    dist = np.abs(valid - idx)
+    support = valid[np.argsort(np.minimum(dist, len(omegas) - dist), kind="stable")[:3]]
+    if not len(support):
         raise NotIdentifiableError("no valid grid points near the singularity")
-
-    def angle(i: int) -> float:
-        # unwrap around idx so the fit sees a contiguous axis
-        delta = omegas[i] - omegas[idx]
-        if delta > np.pi:
-            delta -= 2.0 * np.pi
-        if delta < -np.pi:
-            delta += 2.0 * np.pi
-        return delta
+    # unwrap around idx so the fit sees a contiguous axis
+    delta = omegas[support] - omegas[idx]
+    delta = np.where(delta > np.pi, delta - 2.0 * np.pi, delta)
+    delta = np.where(delta < -np.pi, delta + 2.0 * np.pi, delta)
 
     total = 0.0 + 0.0j
-    for i in support:
-        term = values[i]
-        for jj in support:
+    for i, value in enumerate(values[support]):
+        term = value
+        for jj in range(len(support)):
             if jj != i:
-                term *= (0.0 - angle(jj)) / (angle(i) - angle(jj))
+                term *= (0.0 - delta[jj]) / (delta[i] - delta[jj])
         total += term
     return total

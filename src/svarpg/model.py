@@ -47,9 +47,10 @@ class SvarModel:
         order: maximum lag p (>= 0).
         coeffs: sparse map (from, to, lag) -> coefficient; absent means zero.
             Stored as a read-only copy of the given mapping.
-        noise_var: innovation variance per process (>= 0; the JSON schema
-            requires strictly positive values, the in-memory type tolerates
-            zero for degenerate simulation cases).  Stored read-only too.
+        noise_var: innovation variance per process and for no other name
+            (>= 0; the JSON schema requires strictly positive values, the
+            in-memory type tolerates zero for degenerate simulation cases).
+            Stored read-only too.
         Phi: read-only dense coefficients, shape (order + 1, n, n), with
             Phi[k, i, j] the coefficient of processes[i] -> processes[j] at
             lag k; built from ``coeffs`` on construction.
@@ -93,6 +94,9 @@ class SvarModel:
                 raise SemanticError(f"missing noise variance for {name}")
             if not (self.noise_var[name] >= 0.0):
                 raise SemanticError(f"negative noise variance for {name}")
+        for name in self.noise_var:
+            if name not in index:
+                raise SemanticError(f"noise variance for unknown process {name}")
         mask = (phi != 0.0).any(axis=0)
         np.fill_diagonal(mask, False)
         phi.flags.writeable = False

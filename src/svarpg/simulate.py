@@ -146,9 +146,10 @@ def welch_spectrum(
     segment_len: int = 4096,
     overlap: float = 0.5,
     grid: int = 256,
-    observed_only: bool = True,
 ) -> SpectralEstimate:
-    """Averaged Hann-tapered cross-spectra on the grid omega_j = 2 pi j / grid.
+    """Averaged Hann-tapered cross-spectra of the observed series on the grid
+    omega_j = 2 pi j / grid; for every process, observed and latent, pass
+    ``dataclasses.replace(traj, n_observed=len(traj.labels))``.
 
     The segment length must be a multiple of the grid size; each tapered
     segment is folded onto the grid, so its DFT bins on the grid are exact and
@@ -156,8 +157,7 @@ def welch_spectrum(
     """
     if segment_len < 1 or grid < 1:
         raise SemanticError("segment_len and grid must be positive")
-    data = traj.observed() if observed_only else traj.values
-    labels = traj.labels[: traj.n_observed] if observed_only else traj.labels
+    data = traj.observed()
     T, n_series = data.shape
     if T < 2 * segment_len:
         raise TooShortError(f"need at least {2 * segment_len} samples, got {T}")
@@ -184,7 +184,7 @@ def welch_spectrum(
         half += bins.transpose(2, 1, 0) @ np.conj(bins).transpose(2, 0, 1)
     half /= count * norm
     return SpectralEstimate(
-        labels=labels,
+        labels=traj.labels[: traj.n_observed],
         omegas=frequency_grid(grid),
         values=_mirror(half, grid),
         segment_count=count,

@@ -146,11 +146,13 @@ class SpectralMatrix:
     omegas: np.ndarray
     values: np.ndarray  # (N, m, m) complex
 
+    def _position(self, name: str) -> int:
+        if name not in self.labels:
+            raise SemanticError(f"no process {name} in the spectral matrix")
+        return self.labels.index(name)
+
     def entry(self, v: str, w: str) -> np.ndarray:
-        for name in (v, w):
-            if name not in self.labels:
-                raise SemanticError(f"no process {name} in the spectral matrix")
-        return self.values[:, self.labels.index(v), self.labels.index(w)]
+        return self.values[:, self._position(v), self._position(w)]
 
     def hermitian_defect(self) -> float:
         return float(np.abs(self.values - np.conj(self.values).transpose(0, 2, 1)).max())
@@ -353,7 +355,8 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Observed edge transfers H and the trek rule's projected noise spectrum S_LI.
 
     S_LI holds the internal spectra of the observed processes on its diagonal
-    plus the latent contribution J^T S_lat J^*, S_lat the latent block's spectrum.
+    plus the latent contribution J^T S_lat J^* with J = h[latent, observed]; as
+    S_lat = X X^H over the latent block, that is the gram of J^T X.
     Like ``projected_noise_acs``, it exists only for stable internal dynamics.
     """
     _certify_own(m)
@@ -362,9 +365,7 @@ def _assemble(m: SvarModel, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     internal = np.array([m.noise_var[name] for name in m.observed]) / np.abs(_nonzero(d[:, :n], omegas)) ** 2
     s_li = internal[:, :, None] * np.eye(n)
     if m.latents:
-        j = h[:, n:, :n]
-        s_lat = _gram(_noise_factor(m, omegas, slice(n, None)))
-        s_li = s_li + np.einsum("wdi,wde,wej->wij", j, s_lat, np.conj(j))
+        s_li = s_li + _gram(h[:, n:, :n].transpose(0, 2, 1) @ _noise_factor(m, omegas, slice(n, None)))
     return h[:, :n, :n], s_li
 
 
@@ -422,9 +423,8 @@ def freq_path_rule_check(
     h = _transfer(m, omegas)[0][:, :n, :n]
     exact = _inverse_entry(np.eye(n) - h, m.observed.index(v), m.observed.index(w), omegas)
     total = np.zeros(len(omegas), dtype=complex)
-    for path in enumerate_paths(process_graph(m), v, w, max_cycle_depth=depth):
-        if all(name not in m.latents for name in path.vertices):
-            total += path_transfer(m, path, omegas)
+    for path in enumerate_paths(process_graph(m), v, w, avoid=m.latents, max_cycle_depth=depth):
+        total += path_transfer(m, path, omegas)
     return float(np.abs(exact - total).max())
 
 

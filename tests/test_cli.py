@@ -130,6 +130,28 @@ def test_paths_output(capsys):
     assert set(lines[1:]) == {"Z->Y", "Z->X->Y", "Z->Y->X->Y", "Z->X->Y->X->Y"}
 
 
+def test_paths_negative_cycle_depth_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "paths", GRAPH_C, "--from", "Z", "--to", "Y", "--max-cycle-depth", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "cycle depth -1 is negative" in err
+
+
+def test_noise_variance_for_unknown_process_exits_2(tmp_path, capsys):
+    doc = {
+        "observed": ["X", "Y"],
+        "order": 1,
+        "edges": [{"from": "X", "to": "Y", "lag": 1, "coeff": 0.5}],
+        "noise_var": {"X": 1.0, "Y": 1.0, "Z": 2.0},
+    }
+    code, out, err = _run(capsys, "validate", _write_model(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "noise variance for unknown process Z" in err
+
+
 def test_transfer_modulus_matches_api(graph_a, capsys):
     code, out, _ = _run(capsys, "transfer", GRAPH_A, "--from", "X", "--to", "Y", "--grid", "64")
     assert code == 0

@@ -347,12 +347,18 @@ def test_acs_via_sep_is_exact_through_feedback(feedback_mediator):
         lambda m: acs_via_sep(m, 4, -1),
         lambda m: acs_via_ma_infinity(m, -1, 16),
         lambda m: acs_via_ma_infinity(m, 4, -1),
-        lambda m: acs_via_ma_infinity(m, 20, 8),
     ],
 )
 def test_bad_lag_horizons_are_semantic_errors(graph_c, call):
     with pytest.raises(SemanticError):
         call(graph_c)
+
+
+def test_ma_horizon_changes_no_value(graph_b, graph_c):
+    assert acs_via_ma_infinity(graph_b, 3000).values.shape[0] == 3001
+    short = acs_via_ma_infinity(graph_c, 20, 8)
+    assert short.values.tobytes() == acs_via_ma_infinity(graph_c, 20).values.tobytes()
+    assert short.tail_bound == acs_via_ma_infinity(graph_c, 20).tail_bound
 
 
 # -- controlled effect filters --------------------------------------------------

@@ -13,6 +13,7 @@ from svarpg.graph import (
     unrolled_paths,
 )
 from svarpg.model import SvarModel, process_graph
+from svarpg.spectral import freq_path_rule_check
 
 
 def _graph(observed, latents, edges):
@@ -99,6 +100,16 @@ def test_paths_avoid_set(graph_b):
 def test_paths_disconnected(graph_b):
     g = process_graph(graph_b)
     assert _paths(g, "Y", "Z") == set()
+
+
+def test_negative_cycle_depth_is_semantic_error(graph_c):
+    g = process_graph(graph_c)
+    with pytest.raises(SemanticError, match="cycle depth -3 is negative"):
+        list(enumerate_paths(g, "Z", "Y", max_cycle_depth=-3))
+    with pytest.raises(SemanticError, match="cycle depth -1 is negative"):
+        list(enumerate_treks(latent_projection(g), "X", "Y", max_cycle_depth=-1))
+    with pytest.raises(SemanticError, match="cycle depth -1 is negative"):
+        freq_path_rule_check(graph_c, "Z", "Y", 16, depth=-1)
 
 
 # -- treks --------------------------------------------------------------------

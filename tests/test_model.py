@@ -77,6 +77,7 @@ def test_parse_rejects_observed_into_latent():
         (lambda d: d["edges"].append({"from": "X", "to": "X", "lag": 0, "coeff": 0.1}), SemanticError),
         (lambda d: d["noise_var"].update(X=0.0), SemanticError),
         (lambda d: d["noise_var"].update(X=-1.0), SemanticError),
+        (lambda d: d["noise_var"].update(Z=2.0), SemanticError),  # no process Z
     ],
 )
 def test_parse_rejections(mutate, exc):

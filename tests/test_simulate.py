@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import threading
@@ -256,10 +257,10 @@ def test_seed_range_is_semantic_error():
 @pytest.mark.parametrize("segment_len,grid", [(512, 128), (375, 75)])
 def test_welch_matches_segment_loop(instrument_model, overlap, observed_only, segment_len, grid):
     traj = simulate(instrument_model, T=20_000, seed=8)
-    est = welch_spectrum(
-        traj, segment_len=segment_len, overlap=overlap, grid=grid, observed_only=observed_only
-    )
-    data = traj.observed() if observed_only else traj.values
+    if not observed_only:
+        traj = dataclasses.replace(traj, n_observed=len(traj.labels))
+    est = welch_spectrum(traj, segment_len=segment_len, overlap=overlap, grid=grid)
+    data = traj.observed()
     want = _welch_loop(data, segment_len, overlap, grid)
     step = max(1, int(round(segment_len * (1.0 - overlap))))
     assert est.segment_count == len(range(0, 20_000 - segment_len + 1, step))

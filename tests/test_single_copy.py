@@ -1,5 +1,6 @@
-"""The package evaluates lag sequences on the unit circle in one place and
-builds the frequency grid in one place, so a second copy cannot creep back."""
+"""The package evaluates lag sequences on the unit circle, builds the
+frequency grid, writes the lag-domain trek congruence and takes the first
+spectral regression each in one place, so a second copy cannot creep back."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ SRC = Path(svarpg.__file__).resolve().parent
     [
         "np.exp(-1j",  # the table of powers in spectral._on_circle
         "2.0 * np.pi * np.arange",  # spectral.frequency_grid
+        ".transpose(), tilted_convolve(",  # filters._sandwich
+        "s_x = s.entry(x, x).real",  # identify._regress
     ],
 )
 def test_one_construction_in_the_package(construction):
