@@ -78,30 +78,25 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    m = model.load_model(args.model)
-    g = model.process_graph(m)
-    avoid = _split(args.avoid)
-    found = [
-        "->".join(p.vertices)
-        for p in graph.enumerate_paths(g, args.source, args.target, avoid, args.max_cycle_depth)
-    ]
+    g = model.process_graph(model.load_model(args.model))
+    walks = graph.enumerate_paths(g, args.source, args.target, _split(args.avoid), args.max_cycle_depth)
+    found = ("->".join(p.vertices) for p in walks)  # streamed: the walks are never held at once
     if args.format == "json":
-        _emit([json.dumps(found, indent=2)], args.output)
+        _emit([json.dumps(list(found), indent=2)], args.output)
     else:
-        _emit(["path"] + found, args.output)
+        _emit(itertools.chain(["path"], found), args.output)
     return 0
 
 
 def _cmd_transfer(args) -> int:
     m = model.load_model(args.model)
-    omegas = spectral.frequency_grid(args.grid)
     if args.edge:
-        values = spectral.edge_transfer(m, args.source, args.target).evaluate(omegas)
-        quantity = "H"
+        edge = spectral.edge_transfer(m, args.source, args.target)
+        omegas, (values,) = spectral._on_grid(args.grid, lambda om: (edge.evaluate(om),))
     else:
-        values = spectral.cctf(m, args.source, args.target, _split(args.controls), args.grid).scalar_values()
-        quantity = "CCTF"
-    _emit(_spectral_lines(values, omegas, quantity, args.source, args.target), args.output)
+        ctf = spectral.cctf(m, args.source, args.target, _split(args.controls), args.grid)
+        omegas, values = ctf.omegas, ctf.scalar_values()
+    _emit(_spectral_lines(values, omegas, "H" if args.edge else "CCTF", args.source, args.target), args.output)
     return 0
 
 
@@ -158,10 +153,10 @@ def _cmd_simulate(args) -> int:
 
 def _read_series_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise SchemaError("series CSV must start with a 't' column")
-        try:
+        try:  # a UnicodeDecodeError is a ValueError, in the header or past it
+            header = handle.readline().strip().split(",")
+            if not header or header[0] != "t":
+                raise SchemaError("series CSV must start with a 't' column")
             data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise SchemaError(f"malformed series CSV: {exc}") from None
@@ -186,27 +181,30 @@ def _read_spectral_csv(path: str) -> spectral.SpectralMatrix:
     rows: dict[tuple[float, str, str], complex] = {}
     labels: dict[str, int] = {}  # first-appearance order
     omegas: dict[float, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != SPECTRAL_HEADER:
-            raise SchemaError("unexpected spectral CSV header")
-        for line in map(str.strip, handle):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise SchemaError(f"spectral CSV row {line!r} has {len(parts)} fields, not 8")
-            if parts[1] != "S":
-                continue
-            try:
-                omega, re, im = float(parts[0]), float(parts[4]), float(parts[5])
-            except ValueError:
-                raise SchemaError(f"non-numeric field in spectral CSV row {line!r}") from None
-            if (omega, parts[2], parts[3]) in rows:
-                raise SchemaError(f"spectral CSV repeats the entry {line!r}")
-            rows[(omega, parts[2], parts[3])] = complex(re, im)
-            labels.setdefault(parts[2], len(labels))
-            omegas.setdefault(omega, len(omegas))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header = handle.readline().strip()
+            if header != SPECTRAL_HEADER:
+                raise SchemaError("unexpected spectral CSV header")
+            for line in map(str.strip, handle):
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 8:
+                    raise SchemaError(f"spectral CSV row {line!r} has {len(parts)} fields, not 8")
+                if parts[1] != "S":
+                    continue
+                try:
+                    omega, re, im = float(parts[0]), float(parts[4]), float(parts[5])
+                except ValueError:
+                    raise SchemaError(f"non-numeric field in spectral CSV row {line!r}") from None
+                if (omega, parts[2], parts[3]) in rows:
+                    raise SchemaError(f"spectral CSV repeats the entry {line!r}")
+                rows[(omega, parts[2], parts[3])] = complex(re, im)
+                labels.setdefault(parts[2], len(labels))
+                omegas.setdefault(omega, len(omegas))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"spectral CSV is not UTF-8: {exc}") from None
     values = np.zeros((len(omegas), len(labels), len(labels)), dtype=complex)
     for (omega, row, col), value in rows.items():
         if col not in labels:

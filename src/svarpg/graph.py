@@ -65,15 +65,16 @@ class LatentProjection:
             if (b, a) not in self.bidirected:
                 raise SemanticError(f"bidirected set not symmetric at {a}<->{b}")
 
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.observed
+
     def successors(self, v: str) -> list[str]:
         return sorted(dst for src, dst in self.directed if src == v)
 
     def bidirected_pairs(self) -> list[tuple[str, str]]:
         """One canonical tuple per bidirected edge."""
         return sorted({tuple(sorted(e)) for e in self.bidirected})
-
-    def as_directed_only(self) -> "ProcessGraph":
-        return ProcessGraph(observed=self.observed, latents=(), edges=self.directed)
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,19 @@ def enumerate_paths(
     avoid: Iterable[str] = (),
     max_cycle_depth: int = 0,
 ) -> Iterator[DirectedPath]:
-    """Yield directed walks frm -> to whose interior vertices avoid ``avoid``.
+    """Lazy stream of directed walks frm -> to on ``g`` whose interior vertices avoid ``avoid``.
 
     Endpoints are exempt from ``avoid``; this matches the avoiding-path sets
     behind controlled effect filters, where the cause sits in the avoid set
     but still starts the path.  Each minimal cycle may be traversed at most
-    ``max_cycle_depth`` times (first-repeat excision count); a negative depth
-    is a SemanticError.  On acyclic graphs the stream is exhaustive for any
-    depth, and the empty path is produced when frm == to.
+    ``max_cycle_depth`` times (first-repeat excision count).  On acyclic graphs
+    the stream is exhaustive for any depth, and the empty path is produced
+    when frm == to.  Checked at the call, before any walk: a name that is no
+    vertex of ``g``, an avoided target or a negative depth is a SemanticError.
     """
     avoid = set(avoid)
+    if unknown := sorted(({frm, to} | avoid) - set(g.vertices)):
+        raise SemanticError(f"no vertex {', '.join(unknown)} in the graph")
     if to in avoid:
         raise SemanticError("target vertex cannot be avoided")
     if max_cycle_depth < 0:
@@ -212,25 +216,17 @@ def enumerate_paths(
         for nxt in g.successors(path[-1]):
             if nxt in avoid:
                 continue
-            if nxt in reduced:
-                cut = reduced.index(nxt)
-                loop = _canonical_rotation(tuple(reduced[cut:]))
+            if nxt not in reduced:
+                yield from walk(path + [nxt], reduced + [nxt], counts)
+                continue
+            cut = reduced.index(nxt)
+            loop = _canonical_rotation(tuple(reduced[cut:]))
+            if counts.get(loop, 0) < max_cycle_depth:
                 counts[loop] = counts.get(loop, 0) + 1
-                if counts[loop] > max_cycle_depth:
-                    counts[loop] -= 1
-                    continue
-                path.append(nxt)
-                yield from walk(path, reduced[: cut + 1], counts)
-                path.pop()
+                yield from walk(path + [nxt], reduced[: cut + 1], counts)
                 counts[loop] -= 1
-            else:
-                path.append(nxt)
-                reduced.append(nxt)
-                yield from walk(path, reduced, counts)
-                reduced.pop()
-                path.pop()
 
-    yield from walk([frm], [frm], {})
+    return walk([frm], [frm], {})
 
 
 def enumerate_treks(
@@ -239,15 +235,15 @@ def enumerate_treks(
     """Yield treks from v to w on the latent projection.
 
     Shared-top treks pair directed walks top -> v and top -> w; bidirected
-    treks pair walks from the two endpoints of a bidirected edge.  Cycle
-    traversal is bounded per side.  The walks follow the projection's directed
-    edges only (``LatentProjection.successors``).
+    treks pair walks from the two endpoints of a bidirected edge; each start
+    enumerates its two walk sets once and pairs them.  Cycle traversal is
+    bounded per side.  The walks follow the projection's directed edges only.
     """
     starts = [(top, top, None) for top in gp.observed] + [(a, b, (a, b)) for a, b in sorted(gp.bidirected)]
     for a, b, edge in starts:
-        for left in enumerate_paths(gp, a, v, max_cycle_depth=max_cycle_depth):
-            for right in enumerate_paths(gp, b, w, max_cycle_depth=max_cycle_depth):
-                yield Trek(left=left, right=right, bidirected=edge)
+        walks = [enumerate_paths(gp, src, dst, max_cycle_depth=max_cycle_depth) for src, dst in ((a, v), (b, w))]
+        for left, right in itertools.product(*walks):
+            yield Trek(left=left, right=right, bidirected=edge)
 
 
 def unrolled_paths(

@@ -48,7 +48,7 @@ class SvarModel:
         coeffs: sparse map (from, to, lag) -> coefficient; absent means zero.
             Stored as a read-only copy of the given mapping.
         noise_var: innovation variance per process and for no other name
-            (>= 0; the JSON schema requires strictly positive values, the
+            (finite and >= 0; the JSON schema requires positive values, the
             in-memory type tolerates zero for degenerate simulation cases).
             Stored read-only too.
         Phi: read-only dense coefficients, shape (order + 1, n, n), with
@@ -92,8 +92,8 @@ class SvarModel:
         for name in names:
             if name not in self.noise_var:
                 raise SemanticError(f"missing noise variance for {name}")
-            if not (self.noise_var[name] >= 0.0):
-                raise SemanticError(f"negative noise variance for {name}")
+            if not 0.0 <= self.noise_var[name] < math.inf:
+                raise SemanticError(f"noise variance for {name} must be finite and nonnegative")
         for name in self.noise_var:
             if name not in index:
                 raise SemanticError(f"noise variance for unknown process {name}")
@@ -276,7 +276,10 @@ def parse_model(text: str) -> SvarModel:
 
 def load_model(path) -> SvarModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            return parse_model(handle.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"model document is not UTF-8: {exc}") from None
 
 
 def contemporaneous_solve_matrix(m: SvarModel) -> np.ndarray:

@@ -401,13 +401,16 @@ def cctf(
     return TransferGrid(omegas=omegas, values=values[:, None, None])
 
 
+def _path_product(h: np.ndarray, index, path: DirectedPath) -> np.ndarray:
+    """Product of ``h[:, index(src), index(dst)]`` over the edges of ``path``, ones for the empty path."""
+    edges = (h[:, index(src), index(dst)] for src, dst in path.edge_list())
+    return math.prod(edges, start=np.ones(len(h), dtype=complex))
+
+
 def path_transfer(m: SvarModel, path: DirectedPath, grid: int | np.ndarray) -> np.ndarray:
-    """Pointwise product of edge transfer functions along a path."""
-    omegas = _as_omegas(grid)
-    out = np.ones(len(omegas), dtype=complex)
-    for src, dst in path.edge_list():
-        out = out * edge_transfer(m, src, dst).evaluate(omegas)
-    return out
+    """Pointwise product of edge transfer functions along a path, over the one H(omega)
+    of ``_transfer``: a pole of any edge function of ``m`` on the grid is a SingularAtFrequencyError."""
+    return _path_product(_transfer(m, _as_omegas(grid))[0], m._index, path)
 
 
 def freq_path_rule_check(
@@ -417,14 +420,15 @@ def freq_path_rule_check(
     grid: int | np.ndarray = 256,
     depth: int = 0,
 ) -> float:
-    """Max deviation between the matrix-inverse entry and the truncated path sum."""
+    """Max deviation between entry (v, w) of (I - H)^{-1} and the truncated sum of
+    walk products (``_path_product``), both over one observed H(omega)."""
     omegas = _as_omegas(grid)
     n = m.n_observed
     h = _transfer(m, omegas)[0][:, :n, :n]
     exact = _inverse_entry(np.eye(n) - h, m.observed.index(v), m.observed.index(w), omegas)
     total = np.zeros(len(omegas), dtype=complex)
     for path in enumerate_paths(process_graph(m), v, w, avoid=m.latents, max_cycle_depth=depth):
-        total += path_transfer(m, path, omegas)
+        total += _path_product(h, m.observed.index, path)
     return float(np.abs(exact - total).max())
 
 
@@ -434,17 +438,13 @@ def trek_monomial_function(m: SvarModel, trek: Trek, grid: int | np.ndarray = 25
     The observed edge transfers H and S_LI of ``_assemble`` depend on ``m``
     and the grid only: they are built once and kept on the model for the last
     grid (an int grid and an array take different paths, so different keys),
-    and each path product multiplies entries of that H.
+    and each side of the trek is a ``_path_product`` over that H.
     """
     key = (_sized(grid), _as_omegas(grid).tobytes())
-    omegas, (h, s_li) = m._cached("trek_function", key, lambda: _on_grid(grid, lambda om: _assemble(m, om)))
+    _, (h, s_li) = m._cached("trek_function", key, lambda: _on_grid(grid, lambda om: _assemble(m, om)))
     i, j = (m.observed.index(v) for v in trek.bidirected or (trek.top, trek.top))
-
-    def path_product(path) -> np.ndarray:
-        edges = (h[:, m.observed.index(src), m.observed.index(dst)] for src, dst in path.edge_list())
-        return math.prod(edges, start=np.ones(len(omegas), dtype=complex))
-
-    return path_product(trek.left) * s_li[:, i, j] * np.conj(path_product(trek.right))
+    left, right = (_path_product(h, m.observed.index, side) for side in (trek.left, trek.right))
+    return left * s_li[:, i, j] * np.conj(right)
 
 
 def decompose_spectrum(

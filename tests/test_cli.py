@@ -139,6 +139,45 @@ def test_paths_negative_cycle_depth_exits_2(capsys):
     assert "cycle depth -1 is negative" in err
 
 
+def test_paths_bad_argument_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "paths.csv"
+    argv = ["paths", GRAPH_C, "--from", "Z", "--to", "Y", "--max-cycle-depth", "-1", "-o", str(out)]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and "cycle depth -1 is negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [(["--from", "Nope", "--to", "Y"], "Nope"), (["--from", "Z", "--to", "Y", "--avoid", "X,Bogus"], "Bogus")],
+    ids=["from", "avoid"],
+)
+def test_paths_unknown_vertex_exits_2(capsys, flags, name):
+    code, out, err = _run(capsys, "paths", GRAPH_C, *flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "SemanticError", "message": f"no vertex {name} in the graph"}
+
+
+def test_non_finite_noise_variance_exits_2(tmp_path, capsys):
+    for value in (math.inf, math.nan):  # JSON Infinity and NaN
+        doc = {"observed": ["X"], "order": 0, "edges": [], "noise_var": {"X": value}}
+        code, out, err = _run(capsys, "spectral", _write_model(tmp_path, doc), "--grid", "4")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == "noise variance for X must be finite and nonnegative"
+
+
+def test_undecodable_model_exits_2(tmp_path, capsys):
+    path = _write_model(tmp_path, {"observed": ["X"], "order": 0, "edges": [], "noise_var": {"X": 1.0}})
+    with open(path, "ab") as handle:
+        handle.write(b"\xff")  # not UTF-8
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_noise_variance_for_unknown_process_exits_2(tmp_path, capsys):
     doc = {
         "observed": ["X", "Y"],
@@ -360,13 +399,16 @@ MALFORMED_CSV = {
     "spectrum_short_row": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X"),
     "series_non_numeric": ("t,X,Y", "0,1.0,2.0", "1,1.0,abc"),
     "series_ragged_row": ("t,X,Y", "0,1.0,2.0", "1,1.0"),
+    # a byte that is not UTF-8 (0xff, written through surrogateescape)
+    "spectrum_bad_byte": (SPECTRAL_HEADER, "0.0,S,X,X,1.0,0.0,1.0,0.0", "0.0,S,X,\udcff,1.0,0.0,1.0,0.0"),
+    "series_bad_byte": ("t,X,Y", "0,1.0,2.0", "1,1.0,\udcff"),
 }
 
 
 @pytest.mark.parametrize("name", MALFORMED_CSV)
 def test_malformed_csv_inputs_exit_2(tmp_path, capsys, name):
     path = tmp_path / "in.csv"
-    path.write_text("\n".join(MALFORMED_CSV[name]) + "\n")
+    path.write_bytes(("\n".join(MALFORMED_CSV[name]) + "\n").encode("utf-8", "surrogateescape"))
     if name.startswith("spectrum"):
         argv = ["identify", "--spectrum", str(path), "--method", "instrument", "--labels", "X,M,Y"]
     else:
@@ -410,6 +452,19 @@ def test_transfer_edge_flag(capsys, graph_a):
     got = np.array([complex(float(r.split(",")[4]), float(r.split(",")[5])) for r in rows])
     exact = edge_transfer(graph_a, "M", "Y").evaluate(frequency_grid(16))
     assert np.allclose(got, exact)
+
+
+@pytest.mark.parametrize("grid", [16, 64])
+def test_transfer_edge_is_exactly_conjugate_symmetric(capsys, grid):
+    # solved on the half grid and mirrored, like every other int --grid
+    argv = ["transfer", str(FIXTURES / "graph_b.json"), "--from", "X", "--to", "Y", "--edge", "--grid", str(grid)]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    values = [complex(float(row[4]), float(row[5])) for row in rows]
+    assert len(values) == grid
+    assert all(values[grid - j] == values[j].conjugate() for j in range(1, grid // 2))
+    assert rows[0][5] == rows[grid // 2][5] == "0.0"
 
 
 def test_identify_frontdoor_from_model(capsys, confounded_mediator):

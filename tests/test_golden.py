@@ -2,17 +2,23 @@
 
 The files under ``tests/golden/`` were written by the CLI, e.g.
 ``svarpg ccf fixtures/graph_c.json --from X --to Y --lags 32``, and do not
-depend on the number of BLAS threads.  The ``validate``, ``ccf``, ``acs``,
-``simulate`` and ``transfer --edge`` paths only read model coefficients or
-data and keep the order of floating-point operations, so no refactor may move
-them by one ulp.  The ``spectral``, ``transfer``, ``decompose`` and both
-``identify`` files carry the rounding of the frequency engine's per-frequency
-solve, and the ``estimate`` file that of Welch's fold and half-grid FFT;
-regenerate a file only for an intended change of its numbers, and record the
-largest deviation that the change caused.  The ``estimate`` file was last
-regenerated when the mirror stopped conjugating an exact 0.0 into -0.0: its
-60 diagonal rows at mirrored frequencies now print ``0.0``, not ``-0.0``, as
-``im`` and ``phase``, and no value moved.
+depend on the number of BLAS threads.  The ``validate``, ``ccf``, ``acs`` and
+``simulate`` paths only read model coefficients or data and keep the order of
+floating-point operations, so no refactor may move them by one ulp.  The
+``spectral``, ``transfer``, ``transfer --edge``, ``decompose`` and both
+``identify`` files carry the rounding of the frequency engine's half grid and
+per-frequency solve, and the ``estimate`` file that of Welch's fold and
+half-grid FFT; regenerate a file only for an intended change of its numbers,
+and record the largest deviation that the change caused.  The ``estimate``
+file was last regenerated when the mirror stopped conjugating an exact 0.0
+into -0.0: its 60 diagonal rows at mirrored frequencies now print ``0.0``, not
+``-0.0``, as ``im`` and ``phase``, and no value moved.  The ``transfer
+--edge`` file was regenerated once when that output moved to the half grid.
+It had been evaluated point by point on the whole grid, the one CLI ``--grid``
+output that was not exactly conjugate-symmetric: 30 of its 31 mirrored pairs
+were not exact conjugates, and ``im`` at omega = pi was 1.7e-17.  Its 30 rows
+above pi and the row at pi moved, by at most 6.3e-15 (5.2e-15 of the largest
+modulus); the rows from 0 to below pi kept their bytes.
 ``identify_unconfounded_graph_b_Y_64.csv`` pins a multi-edge ``identify``
 (M, X and Z -> Y).  ``fixtures/graph_b_series_512_5.csv`` is ``svarpg simulate
 fixtures/graph_b.json --length 512 --seed 5`` and pins the observed-only

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from cycle_oracle import cycle_basis
+from svarpg import graph
 from svarpg.errors import SemanticError
 from svarpg.filters import ccf
 from svarpg.graph import (
@@ -40,7 +41,7 @@ def test_projection_without_latents_is_identity(graph_b):
     assert proj.directed == g.edges
     assert proj.bidirected == frozenset()
     # idempotent: projecting the directed part again changes nothing
-    again = latent_projection(proj.as_directed_only())
+    again = latent_projection(ProcessGraph(proj.observed, (), proj.directed))
     assert again.directed == proj.directed and again.bidirected == frozenset()
 
 
@@ -112,7 +113,44 @@ def test_negative_cycle_depth_is_semantic_error(graph_c):
         freq_path_rule_check(graph_c, "Z", "Y", 16, depth=-1)
 
 
+def test_unknown_vertices_are_semantic_errors_at_the_call(graph_c, instrument_model):
+    g = process_graph(graph_c)
+    for frm, to, avoid, name in (("Nope", "Y", (), "Nope"), ("Z", "Nope", (), "Nope"), ("Z", "Y", ("X", "Bogus"), "Bogus")):
+        with pytest.raises(SemanticError, match=f"^no vertex {name} in the graph$"):
+            enumerate_paths(g, frm, to, avoid)  # raised before the first walk is asked for
+    with pytest.raises(SemanticError, match="cycle depth -1 is negative"):
+        enumerate_paths(g, "Z", "Y", max_cycle_depth=-1)
+    proj = latent_projection(process_graph(instrument_model))
+    assert "L" in process_graph(instrument_model).vertices and proj.vertices == ("X", "M", "Y")
+    with pytest.raises(SemanticError, match="no vertex L"):  # the latent is projected out
+        enumerate_paths(proj, "L", "Y")
+    with pytest.raises(SemanticError, match="no vertex Nope"):
+        list(enumerate_treks(proj, "Nope", "Y"))
+
+
 # -- treks --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,v,w", [("graph_c", "Y", "Y"), ("instrument_model", "M", "Y")])
+def test_treks_enumerate_each_side_once_per_start(request, monkeypatch, name, v, w):
+    proj = latent_projection(process_graph(request.getfixturevalue(name)))
+    starts = [(top, top, None) for top in proj.observed] + [(a, b, (a, b)) for a, b in sorted(proj.bidirected)]
+    walk = graph.enumerate_paths
+    calls = []
+
+    def counted(gp, a, b, **kw):
+        calls.append((a, b))
+        return walk(gp, a, b, **kw)
+
+    monkeypatch.setattr(graph, "enumerate_paths", counted)
+    treks = list(enumerate_treks(proj, v, w, max_cycle_depth=1))
+    assert calls == [pair for a, b, _ in starts for pair in ((a, v), (b, w))]
+    assert treks == [  # the same treks in the same order as a walk of the right side per left walk
+        graph.Trek(left=left, right=right, bidirected=edge)
+        for a, b, edge in starts
+        for left in walk(proj, a, v, max_cycle_depth=1)
+        for right in walk(proj, b, w, max_cycle_depth=1)
+    ]
 
 
 def test_treks_acyclic_chain(graph_a):

@@ -78,6 +78,8 @@ def test_parse_rejects_observed_into_latent():
         (lambda d: d["noise_var"].update(X=0.0), SemanticError),
         (lambda d: d["noise_var"].update(X=-1.0), SemanticError),
         (lambda d: d["noise_var"].update(Z=2.0), SemanticError),  # no process Z
+        (lambda d: d["noise_var"].update(X=float("inf")), SemanticError),  # JSON Infinity
+        (lambda d: d["noise_var"].update(X=float("nan")), SemanticError),  # JSON NaN
     ],
 )
 def test_parse_rejections(mutate, exc):

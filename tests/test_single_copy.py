@@ -1,6 +1,7 @@
 """The package evaluates lag sequences on the unit circle, builds the
-frequency grid, writes the lag-domain trek congruence and takes the first
-spectral regression each in one place, so a second copy cannot creep back."""
+frequency grid, writes the lag-domain trek congruence, takes the first
+spectral regression and multiplies edge transfers along a walk each in one
+place, so a second copy cannot creep back."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ SRC = Path(svarpg.__file__).resolve().parent
         "2.0 * np.pi * np.arange",  # spectral.frequency_grid
         ".transpose(), tilted_convolve(",  # filters._sandwich
         "s_x = s.entry(x, x).real",  # identify._regress
+        "for src, dst in path.edge_list()",  # spectral._path_product
     ],
 )
 def test_one_construction_in_the_package(construction):

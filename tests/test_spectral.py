@@ -5,12 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
+from conftest import FIXTURE_NAMES, FIXTURES, ar1, random_model, unit_circle_own_dynamics, unit_root_own_dynamics
 from cycle_oracle import loop_gain_report
 from svarpg import spectral
 from svarpg.errors import LatentPresentError, NonConvergentError, SemanticError, SingularAtFrequencyError
 from svarpg.filters import FiniteFilter, acs_via_sep, convolve, direct_effect_filter, tilted_convolve
-from svarpg.graph import enumerate_treks, latent_projection
+from svarpg.graph import DirectedPath, enumerate_paths, enumerate_treks, latent_projection
 from svarpg.model import SvarModel, check_stability, load_model, process_graph
 from svarpg.spectral import (
     cctf,
@@ -21,6 +21,7 @@ from svarpg.spectral import (
     freq_path_rule_check,
     frequency_grid,
     internal_spectrum,
+    path_transfer,
     spectral_density,
     trek_monomial_function,
 )
@@ -217,6 +218,32 @@ def test_freq_path_rule_geometric_decay(graph_c):
         prev = dev
 
 
+def test_freq_path_rule_builds_no_edge_function(graph_c, monkeypatch):
+    # every walk product is read off the one H(omega) of the check, never per edge
+    evaluate = spectral.RationalTransfer.evaluate
+    calls = []
+    monkeypatch.setattr(spectral.RationalTransfer, "evaluate", lambda rt, om: calls.append(om) or evaluate(rt, om))
+    assert freq_path_rule_check(graph_c, "Z", "Y", OM, depth=1) < 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_path_transfer_is_the_product_of_edge_transfers(name):
+    # the per-edge product is the oracle of the one path product over H(omega)
+    m = load_model(FIXTURES / f"{name}.json")
+    g = process_graph(m)
+    for grid in (OM, 64):
+        omegas = frequency_grid(grid) if isinstance(grid, int) else grid
+        for v in m.processes:
+            for w in m.processes:
+                for path in enumerate_paths(g, v, w, max_cycle_depth=1):
+                    oracle = np.ones(len(omegas), dtype=complex)
+                    for src, dst in path.edge_list():
+                        oracle = oracle * edge_transfer(m, src, dst).evaluate(omegas)
+                    got = path_transfer(m, path, grid)
+                    assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
 def test_singular_frequency_is_typed_error(monkeypatch):
     # A <-> B at lag 1 with gain 1: det(I - H) = 1 - z^2 vanishes at omega = 0
     m = SvarModel(
@@ -353,6 +380,10 @@ def test_edge_functions_raise_at_a_pole_on_the_grid():
     with pytest.raises(SingularAtFrequencyError) as exc:
         edge_transfer(m, "Y", "X").evaluate(om)
     assert exc.value.omega == 0.0
+    # a path product reads the one H(omega) of all edges, so X -> Y, finite itself, raises too
+    assert np.isfinite(edge_transfer(m, "X", "Y").evaluate(om)).all()
+    with pytest.raises(SingularAtFrequencyError):
+        path_transfer(m, DirectedPath(("X", "Y")), om)
     # spectra built on X's own dynamics have no certificate, before any grid point is read
     trek = next(t for t in enumerate_treks(latent_projection(process_graph(m)), "X", "X") if t.top == "Y")
     calls = [
