@@ -189,9 +189,11 @@ class StabilityReport:
     VAR.  ``loop_spectral_radius`` is max_omega rho(H(omega)) over the edge
     transfer matrix of all processes: feedback is a property of H, since
     loops that share a vertex compound, and below one the path series of
-    (I - H)^{-1} converges (Luetkepohl 2005, ch. 2).  It is infinite when
-    some edge transfer function has a pole on the grid.  ``ok`` requires
-    both certificates.
+    (I - H)^{-1} converges (Luetkepohl 2005, ch. 2).  It is the largest
+    eigenvalue modulus over the grid bit for bit, though eigenvalues are
+    taken only at the points where an upper bound on rho(H(omega)) exceeds
+    it (``_loop_radius``), and infinite when some edge transfer function has
+    a pole on the grid.  ``ok`` requires both certificates.
     """
 
     per_process_auto_sum: Mapping[str, float]
@@ -359,6 +361,110 @@ def _certify_own(m: SvarModel, block: slice = slice(None)) -> None:
     _certify(own, "internal dynamics not stable: companion radius")
 
 
+# Squarings behind the loop-radius bound b = ||H^(2^J)||_F^(1/2^J).  On the
+# frequency_domain benchmark's R40 at seed 7 (n = 42, 129 half-grid points at
+# grid 256; one BLAS thread on a 2-core Xeon) J = 3, 4, 5 and 6 left 75, 18, 10
+# and 7 points for eigenvalues and took 45, 25, 21 and 20 ms; each squaring
+# adds about 0.05 ms on graph_c (n = 3), where eigenvalues are cheap.
+_SQUARINGS = 5
+# Complex entries in each work stack of the bound and in each batch of
+# eigenvalues (1 MB; 37 frequencies at n = 42), so neither grows with the grid.
+_BLOCK_ENTRIES = 1 << 16
+# Points, those of largest bound, whose eigenvalues set the first kept maximum.
+_FIRST_POINTS = 2
+# While a Frobenius norm s stays in this range its sum of squares neither
+# overflows (s^2 < 2^1020) nor loses relative precision to subnormal squares.
+_NORM_RANGE = (2.0**-500, 2.0**510)
+# Added to log b: covers the rounding of the logs, exp and np.abs (about 1e-12),
+# and the few ulps by which eigvals' moduli can exceed rho(H) on a matrix close
+# enough to normal for b to come within this margin of rho(H).
+_LOG_SLACK = 1e-9
+
+
+def _block(n: int) -> int:
+    """Frequencies in a block of at most ``_BLOCK_ENTRIES`` entries of n x n matrices, at least one."""
+    return max(1, _BLOCK_ENTRIES // max(n * n, 1))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||x[k]||_F per matrix of a C-contiguous complex stack."""
+    v = x.view(float).reshape(len(x), -1)
+    return np.sqrt(np.einsum("ki,ki->k", v, v))
+
+
+def _radius_bound(h: np.ndarray) -> np.ndarray:
+    """Upper bound b[k] >= rho(h[k]) in floating point, by Gelfand's formula
+    rho(A) <= ||A^(2^J)||_F^(1/2^J) (Horn & Johnson, Matrix Analysis, 5.6), over
+    blocks of ``_BLOCK_ENTRIES`` so its two work stacks never grow with ``h``.
+
+    Q starts as A / ||A||_F and is squared J times, each square divided by its
+    computed norm s; log C sums the norms, log C <- 2 log C + log s.  delta bounds
+    ||Q - E|| for the exact normalised power E of A + F, with ||F||_F up to
+    gamma ||A||_F allowed for the backward error of ``eigvals``; with
+    gamma = (n + 4)^2 u covering the rounding of a complex matrix product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), of a
+    Frobenius norm and of a division, and q = 1 + gamma >= ||Q||_F, a squaring
+    takes delta to ((2q + delta) delta + 2 gamma) / s.  Then
+    b = (C (q + delta))^(1/2^J).  Where a norm leaves ``_NORM_RANGE``, zero and
+    infinity included, b is inf.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    n = h.shape[-1]
+    gamma = (n + 4) ** 2 * np.finfo(float).eps / 2
+    q_norm = 1.0 + gamma
+    lo, hi = _NORM_RANGE
+    out = np.empty(len(h))
+    step = _block(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, len(h), step):
+            a = h[start : start + step]
+            s = _frobenius(a)
+            safe = (s > lo) & (s < hi)
+            log_c, delta = np.log(s), 2.0 * gamma
+            q = a / s[:, None, None]
+            r = np.empty_like(q)
+            for _ in range(_SQUARINGS):
+                np.matmul(q, q, out=r)
+                s = _frobenius(r)
+                safe &= s > lo
+                delta = ((2.0 * q_norm + delta) * delta + 2.0 * gamma) / s
+                log_c = 2.0 * log_c + np.log(s)
+                np.divide(r, s[:, None, None], out=q)
+            log_b = (log_c + np.log(q_norm + delta)) / 2**_SQUARINGS + _LOG_SLACK
+            out[start : start + step] = np.where(safe, np.exp(log_b), np.inf)
+    return out
+
+
+def _radii(h: np.ndarray) -> np.ndarray:
+    """rho(h[k]) per matrix from ``np.linalg.eigvals``."""
+    return np.abs(np.linalg.eigvals(h)).max(axis=1)
+
+
+def _loop_radius(h: np.ndarray) -> float:
+    """max_k rho(h[k]) exactly as ``_radii`` over every matrix gives it, with the
+    eigenvalues taken only where ``_radius_bound`` could still beat the maximum.
+
+    The ``_FIRST_POINTS`` points of largest bound set the kept maximum; then
+    every other point whose bound exceeds it, in order of bound and in blocks
+    of ``_BLOCK_ENTRIES``, each block again pruned by the maximum so far.  A
+    skipped point has rho <= b <= the kept maximum, and a maximum is exact, so
+    the result is bit-identical to the full sweep.  Bound and eigenvalues run
+    on contiguous frequency slices across cores (``_per_frequency``), and
+    each point's bound depends on its own matrix only.
+    """
+    from .spectral import _per_frequency
+
+    bound = _per_frequency(_radius_bound, h)
+    order = np.argsort(-bound, kind="stable")
+    kept, start, stop = 0.0, 0, _FIRST_POINTS
+    while start < len(order) and bound[order[start]] > kept:
+        take = order[start:stop]
+        take = take[bound[take] > kept]
+        kept = max(kept, float(_per_frequency(_radii, h[take]).max()))
+        start, stop = stop, stop + _block(h.shape[-1])
+    return kept
+
+
 def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
@@ -366,19 +472,21 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     (``_kept_radius``) and taken after the loop radius.  The loop radius
     max_omega rho(H(omega)) is sampled on the half grid of ``grid_size``, the
     points up to omega = pi (the upper half mirrors it, so has the same radii);
-    it is infinite when an edge function has a pole there.  The eigenvalues
-    are taken on contiguous frequency slices across the cores this process
-    may use, bit-identical to one core.  A non-positive ``grid_size`` is a
-    SemanticError.
+    it is infinite when an edge function has a pole there.  ``_loop_radius``
+    bounds rho(H(omega)) at every point by the norm of a repeated square and
+    takes eigenvalues only where that bound exceeds the largest radius found,
+    so the result is bit-identical to eigenvalues at every point, and to one
+    core.  A ``grid_size`` that is not a positive integer is a SemanticError.
     """
-    from .spectral import _half_grid, _per_frequency, _transfer
+    from .spectral import _half_grid, _sized, _transfer
 
+    if not _sized(grid_size):
+        raise SemanticError(f"grid size must be an integer, not {type(grid_size).__name__}")
     auto_sums = {
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
     try:
-        h = _transfer(m, _half_grid(grid_size))[0]
-        loop_radius = float(np.abs(_per_frequency(np.linalg.eigvals, h)).max())
+        loop_radius = _loop_radius(_transfer(m, _half_grid(grid_size))[0])
     except SingularAtFrequencyError:
         loop_radius = math.inf
     radius_val = _companion_radius(m)

@@ -421,7 +421,9 @@ def freq_path_rule_check(
     depth: int = 0,
 ) -> float:
     """Max deviation between entry (v, w) of (I - H)^{-1} and the truncated sum of
-    walk products (``_path_product``), both over one observed H(omega)."""
+    walk products (``_path_product``), both over one observed H(omega).  A latent
+    or unknown ``v`` or ``w`` is a SemanticError, as for ``cctf``."""
+    _cut(m, v, w, ())
     omegas = _as_omegas(grid)
     n = m.n_observed
     h = _transfer(m, omegas)[0][:, :n, :n]

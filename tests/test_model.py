@@ -6,9 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CYCLIC_LATENT_EDGES, FIXTURE_NAMES, FIXTURES, ar1, random_model
+from conftest import (
+    CYCLIC_LATENT_EDGES,
+    FIXTURE_NAMES,
+    FIXTURES,
+    FRONTDOOR_EDGES,
+    INSTRUMENT_EDGES,
+    REGRESSION_EDGES,
+    ar1,
+    random_model,
+)
 from cycle_oracle import loop_gain_report
-from svarpg.errors import SchemaError, SemanticError
+from svarpg import model
+from svarpg.errors import SchemaError, SemanticError, SingularAtFrequencyError
 from svarpg.model import (
     SvarModel,
     check_stability,
@@ -16,7 +26,8 @@ from svarpg.model import (
     parse_model,
     process_graph,
 )
-from svarpg.spectral import edge_transfer, frequency_grid
+from svarpg.spectral import _half_grid, _transfer, edge_transfer, frequency_grid
+from test_per_frequency import _dense_model
 
 
 GRAPH_A_DOC = {
@@ -216,6 +227,128 @@ def test_stability_detects_explosive_model():
 
 def test_stability_deterministic(graph_c):
     assert check_stability(graph_c, 128) == check_stability(graph_c, 128)
+
+
+@pytest.mark.parametrize("grid_size", [8.0, "256", None])
+def test_a_non_integer_grid_size_is_a_semantic_error(graph_c, grid_size):
+    with pytest.raises(SemanticError, match="grid size must be an integer"):
+        check_stability(graph_c, grid_size)
+    assert check_stability(graph_c, np.int64(8)) == check_stability(graph_c, 8)
+
+
+def _radii(stack):
+    return np.abs(np.linalg.eigvals(stack)).max(axis=1)
+
+
+def _bound_stacks():
+    rng = np.random.default_rng(24)
+    stacks = [rng.standard_normal((32, n, n)) + 1j * rng.standard_normal((32, n, n)) for n in (1, 3, 8)]
+    # permuted strictly triangular: nilpotent, rho = 0
+    tri = np.triu(rng.standard_normal((16, 6, 6)), 1) * 10.0
+    perm = rng.permutation(6)
+    stacks.append(tri[:, perm][:, :, perm])
+    # near-Jordan: eigenvalue lam, coupling 1e3, perturbed by 1e-10 (strongly non-normal)
+    lam = rng.uniform(0.1, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+    jordan = lam[:, None, None] * np.eye(5) + 1e3 * np.eye(5, k=1)
+    stacks.append(jordan + 1e-10 * rng.standard_normal((16, 5, 5)))
+    # a diagonal behind an ill-conditioned similarity
+    v = np.eye(4) + 0.999 * np.eye(4, k=1)
+    diag = rng.uniform(-1.0, 1.0, (16, 4))[:, :, None] * np.eye(4)
+    stacks.append(v @ diag @ np.linalg.inv(v))
+    stacks.append(np.zeros((4, 3, 3), dtype=complex))
+    return stacks
+
+
+def test_radius_bound_is_an_upper_bound_point_by_point():
+    stacks = _bound_stacks()
+    for stack in stacks:
+        bound = model._radius_bound(stack)
+        assert bound.shape == (len(stack),)
+        assert (bound >= _radii(stack)).all()
+    for scale in (1e150, 1e-150):
+        bound = model._radius_bound(stacks[2] * scale)
+        assert np.isfinite(bound).all()
+        assert (bound >= _radii(stacks[2] * scale)).all()
+        assert np.allclose(bound / scale, model._radius_bound(stacks[2]), rtol=1e-9)
+
+
+def test_radius_bound_is_infinite_where_a_norm_leaves_its_range():
+    # norms 3, inf, 0, 9e153 (above 2^510) and 3e-152 (below 2^-500)
+    stack = np.ones((5, 3, 3), dtype=complex)
+    stack[1, 0, 2] = np.inf
+    stack[2] = 0.0
+    stack[3] *= 3e153
+    stack[4] *= 1e-152
+    bound = model._radius_bound(stack)
+    assert bound[0] >= 3.0 and np.isfinite(bound[0])
+    assert (bound[1:] == np.inf).all()
+
+
+def _full_sweep(m, grid_size):
+    """The sweep ``_loop_radius`` replaced: eigenvalues at every half-grid point."""
+    try:
+        h = _transfer(m, _half_grid(grid_size))[0]
+    except SingularAtFrequencyError:
+        return np.inf
+    return float(np.abs(np.linalg.eigvals(h)).max())
+
+
+def _resonance(c: float) -> SvarModel:
+    """X <-> Y at lag 1 with gain c, Y an AR(2) resonance r = 0.999 between grid
+    points of 256: the loop radius peaks far above its value on that grid."""
+    r, theta = 0.999, 2.0 * np.pi * 20.5 / 256
+    coeffs = {
+        ("X", "Y", 1): c**0.5,
+        ("Y", "X", 1): c**0.5,
+        ("Y", "Y", 1): 2.0 * r * np.cos(theta),
+        ("Y", "Y", 2): -r * r,
+    }
+    return SvarModel(observed=("X", "Y"), latents=(), order=2, coeffs=coeffs, noise_var={"X": 1.0, "Y": 1.0})
+
+
+def _pruning_models():
+    models = [load_model(FIXTURES / f"{name}.json") for name in FIXTURE_NAMES]
+    structures = [
+        (("A", "B", "C"), ("L1", "L2"), CYCLIC_LATENT_EDGES),
+        (("X", "W", "Y"), ("L",), FRONTDOOR_EDGES),
+        (("X", "M", "Y"), ("L",), INSTRUMENT_EDGES),
+        (("Z", "X", "M", "Y"), (), REGRESSION_EDGES),
+    ]
+    for seed, (observed, latents, edges) in enumerate(structures):
+        for contemporaneous in (False, True):
+            rng = np.random.default_rng([24, seed])
+            models.append(random_model(rng, observed, latents, edges, order=3, contemporaneous=contemporaneous))
+    return models + [_dense_model()]
+
+
+def test_pruned_loop_radius_equals_the_full_sweep_bit_for_bit():
+    for m in _pruning_models():
+        for grid_size in (1, 2, 7, 64, 256):
+            assert check_stability(m, grid_size).loop_spectral_radius == _full_sweep(m, grid_size)
+        h = _transfer(m, _half_grid(64))[0]
+        assert (model._radius_bound(h) >= _radii(h)).all()
+    resonance = _resonance(0.002)
+    for grid_size, radius in ((256, 0.4129), (1024, 1.4405)):
+        pruned = check_stability(resonance, grid_size)
+        assert pruned.loop_spectral_radius == _full_sweep(resonance, grid_size)
+        assert pruned.loop_spectral_radius == pytest.approx(radius, abs=1e-4)
+        assert pruned.ok is (radius < 1.0)
+
+
+def test_pruned_loop_radius_is_exact_across_blocks(monkeypatch):
+    # one frequency per work stack and per batch of eigenvalues
+    monkeypatch.setattr(model, "_BLOCK_ENTRIES", 1)
+    for m in (_dense_model(), _resonance(0.002), load_model(FIXTURES / "graph_c.json")):
+        assert check_stability(m, 256).loop_spectral_radius == _full_sweep(m, 256)
+
+
+def test_eigenvalues_are_taken_only_where_the_bound_could_beat_the_maximum(graph_c, monkeypatch):
+    eigvals, seen = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.shape) or eigvals(a))
+    rep = check_stability(graph_c, 256)
+    matrices = sum(shape[0] for shape in seen if len(shape) == 3)
+    assert 0 < matrices < 129
+    assert rep.loop_spectral_radius == _full_sweep(graph_c, 256)
 
 
 def test_process_graph_edges(graph_b):

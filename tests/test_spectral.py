@@ -218,6 +218,13 @@ def test_freq_path_rule_geometric_decay(graph_c):
         prev = dev
 
 
+@pytest.mark.parametrize("v, w", [("L", "Y"), ("Nope", "Y"), ("X", "L")])
+def test_freq_path_rule_rejects_a_latent_or_unknown_endpoint_like_cctf(instrument_model, v, w):
+    for check in (cctf, freq_path_rule_check):
+        with pytest.raises(SemanticError, match="cause and target must be observed processes"):
+            check(instrument_model, v, w, grid=8)
+
+
 def test_freq_path_rule_builds_no_edge_function(graph_c, monkeypatch):
     # every walk product is read off the one H(omega) of the check, never per edge
     evaluate = spectral.RationalTransfer.evaluate
