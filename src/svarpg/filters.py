@@ -2,10 +2,10 @@
 
 Filters are finitely supported Z-indexed matrix sequences; tilted
 convolutions produce two-sided supports.  Convolutions run for all lags at
-once (zero-padded real FFTs along the lag axis, one batched matmul): errors
-are a few eps * log2(length) times the operands' lag-l1 norms, so small
-entries lose relative accuracy, while an entry that pairs only all-zero
-series stays exactly 0.  The filter series (I - Lambda)^{-1} of a block is
+once (real FFTs along the lag axis at 5-smooth lengths, one batched
+matmul): errors are a few eps * log2(length) times the operands' lag-l1
+norms, so small entries lose relative accuracy, while an entry that pairs
+only all-zero series stays exactly 0.  The filter series (I - Lambda)^{-1} of a block is
 exact on lags 0..L (finite order-p recursion of (I - Phi(z))^{-1}) behind a
 block companion radius below one, and rho(Lambda_0) < 1 where it is read as a
 sum over paths.  Noise covariances exist only for stable internal dynamics
@@ -125,14 +125,29 @@ class FiniteFilter:
         return FiniteFilter(start=lo, values=out)
 
 
+def _smooth_length(size: int) -> int:
+    """Least 2^a 3^b 5^c >= size: pocketfft transforms it in radix passes
+    alone, where a prime length falls back to Bluestein's algorithm."""
+    best, five = 1 << (size - 1).bit_length(), 1
+    while five < best:
+        three = five
+        while three < best:  # three * 2^k for the least k that reaches size
+            best = min(best, three << ((size - 1) // three).bit_length())
+            three *= 3
+        five *= 5
+    return best
+
+
 def _lag_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out[u] = sum_t x[t] @ y[u - t] over the first axis, all lags at once."""
+    """out[u] = sum_t x[t] @ y[u - t] over the first axis, all lags at once, by
+    transforms padded to a 5-smooth length and sliced back to the full length."""
     if x.shape[-1] != y.shape[-2]:
         raise DimensionMismatchError(f"inner dimensions differ: {x.shape[1:]} and {y.shape[1:]}")
     size = len(x) + len(y) - 1
-    fx = np.fft.rfft(x, size, axis=0)
-    fy = np.fft.rfft(y, size, axis=0)
-    return np.fft.irfft(fx @ fy, size, axis=0)
+    fast = _smooth_length(size)
+    fx = np.fft.rfft(x, fast, axis=0)
+    fy = np.fft.rfft(y, fast, axis=0)
+    return np.fft.irfft(fx @ fy, fast, axis=0)[:size]
 
 
 def convolve(a: FiniteFilter, b: FiniteFilter) -> FiniteFilter:
@@ -154,17 +169,24 @@ def _lag_recursion(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     """lam[s] = b[s] + sum_{j=1..min(s,p)} lam[s-j] a[j] for s = 0..L (b[s] = 0 past p).
 
     ``a`` and ``b`` carry lags 0..p on their first axis and broadcast over the
-    rest, so one call runs the recursion for many filters; every entry is
-    accumulated in the order of the scalar recursion.
+    rest, so one call runs the recursion for many filters.  One reduce per lag
+    adds the rows b[s], lam[s-1] a[1], ... in turn, in the order of the scalar
+    recursion.  It would sum one-entry rows pairwise, so a single filter runs
+    as two equal columns.
     """
     _check_horizon(L)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    if math.prod(shape) == 1:
+        pair = _lag_recursion(a.reshape(-1, 1), np.repeat(b.reshape(-1, 1), 2, axis=1), L)
+        return pair[:, 0].reshape((L + 1,) + shape)
     p = len(b) - 1
-    lam = np.zeros((L + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    lam = np.zeros((L + 1,) + shape)
+    terms = np.empty((p + 1,) + shape)
     for s in range(L + 1):
-        acc = b[s] if s <= p else 0.0
-        for j in range(1, min(s, p) + 1):
-            acc = acc + lam[s - j] * a[j]
-        lam[s] = acc
+        t = min(s, p)
+        terms[0] = b[s] if s <= p else 0.0
+        np.multiply(lam[s - t : s][::-1], a[1 : t + 1], out=terms[1 : t + 1])
+        lam[s] = np.add.reduce(terms[: t + 1], axis=0)
     return lam
 
 

@@ -1,10 +1,10 @@
 """Latent-component SVAR model specifications and stability diagnostics.
 
-A model is a set of named processes (observed and latent), a maximum lag,
-a sparse coefficient map ``(from, to, lag) -> phi`` and per-process innovation
-variances.  Every process has zero mean.  Edges with ``from == to`` and
-``lag >= 1`` are auto-dependencies; contemporaneous self-loops are rejected,
-and no observed process may point into a latent one.
+A model is a set of named processes (observed and latent, at least one
+observed), a maximum lag, a sparse coefficient map ``(from, to, lag) -> phi``
+and per-process innovation variances.  Every process has zero mean.  Edges
+with ``from == to`` and ``lag >= 1`` are auto-dependencies; contemporaneous
+self-loops are rejected, and no observed process may point into a latent one.
 
 The sparse ``coeffs`` map is the input and serialisation format only.  The
 model densifies it once into the read-only tensor ``Phi`` of shape
@@ -17,6 +17,7 @@ and ``_kept_radius`` may keep results derived from it.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -69,6 +70,8 @@ class SvarModel:
         object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
         object.__setattr__(self, "noise_var", MappingProxyType(dict(self.noise_var)))
         names = self.observed + self.latents
+        if not self.observed:
+            raise SemanticError("a model needs at least one observed process")
         if len(set(names)) != len(names):
             raise SemanticError("duplicate process names")
         if self.order < 0:
@@ -192,8 +195,8 @@ class StabilityReport:
     (I - H)^{-1} converges (Luetkepohl 2005, ch. 2).  It is the largest
     eigenvalue modulus over the grid bit for bit, though eigenvalues are
     taken only at the points where an upper bound on rho(H(omega)) exceeds
-    it (``_loop_radius``), and infinite when some edge transfer function has
-    a pole on the grid.  ``ok`` requires both certificates.
+    it (``_loop_radius``), at none without a cycle, and infinite when some
+    edge transfer function has a pole on the grid.  ``ok`` requires both.
     """
 
     per_process_auto_sum: Mapping[str, float]
@@ -465,6 +468,16 @@ def _loop_radius(h: np.ndarray) -> float:
     return kept
 
 
+def _acyclic(mask: np.ndarray) -> bool:
+    """Whether the directed graph of adjacency ``mask`` has no cycle."""
+    incoming = {j: np.flatnonzero(col).tolist() for j, col in enumerate(mask.T)}
+    try:
+        graphlib.TopologicalSorter(incoming).prepare()
+    except graphlib.CycleError:
+        return False
+    return True
+
+
 def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     """Evaluate the per-process, grand-total and full-VAR stability conditions.
 
@@ -476,7 +489,9 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
     bounds rho(H(omega)) at every point by the norm of a repeated square and
     takes eigenvalues only where that bound exceeds the largest radius found,
     so the result is bit-identical to eigenvalues at every point, and to one
-    core.  A ``grid_size`` that is not a positive integer is a SemanticError.
+    core.  Without a cycle in the edge mask H(omega) is nilpotent: the radius
+    is 0.0, as eigenvalues give it, and none are taken.  A ``grid_size`` that
+    is not a positive integer is a SemanticError.
     """
     from .spectral import _half_grid, _sized, _transfer
 
@@ -486,7 +501,8 @@ def check_stability(m: SvarModel, grid_size: int = 256) -> StabilityReport:
         name: float(np.abs(m.auto_coeffs(name)[1:]).sum()) for name in m.processes
     }
     try:
-        loop_radius = _loop_radius(_transfer(m, _half_grid(grid_size))[0])
+        h = _transfer(m, _half_grid(grid_size))[0]
+        loop_radius = 0.0 if _acyclic(m._edge_mask) else _loop_radius(h)
     except SingularAtFrequencyError:
         loop_radius = math.inf
     radius_val = _companion_radius(m)

@@ -168,6 +168,19 @@ def test_non_finite_noise_variance_exits_2(tmp_path, capsys):
         assert json.loads(err)["message"] == "noise variance for X must be finite and nonnegative"
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["spectral", "--grid", "4"], ["acs", "--lags", "2"], ["simulate", "--length", "8"]]
+)
+def test_document_without_observed_processes_exits_2(tmp_path, capsys, argv):
+    doc = {"observed": [], "order": 0, "edges": [], "noise_var": {}}
+    sub, *flags = argv
+    code, out, err = _run(capsys, sub, _write_model(tmp_path, doc), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "SemanticError", "message": "a model needs at least one observed process"}
+
+
 def test_undecodable_model_exits_2(tmp_path, capsys):
     path = _write_model(tmp_path, {"observed": ["X"], "order": 0, "edges": [], "noise_var": {"X": 1.0}})
     with open(path, "ab") as handle:

@@ -230,6 +230,10 @@ CONV_SHAPES = [
     (33, 129, 4, 4, 4, -16, 3),
     (129, 257, 6, 6, 6, 0, -128),
     (2, 64, 1, 5, 3, 7, -9),
+    # full lengths 257, 641 and 769 are prime; the transforms pad them to 270, 648 and 800
+    (129, 129, 2, 2, 2, -64, 0),
+    (257, 385, 1, 1, 1, -128, 0),
+    (385, 385, 1, 1, 1, 0, -192),
 ]
 
 

@@ -1,7 +1,9 @@
 """The lag-domain engine against the work it no longer repeats.
 
-``_filter_series`` takes each lag's psi terms in one stacked product; the
-oracle below is the per-lag loop it replaced, kept verbatim.  Trek path
+``_filter_series`` takes each lag's psi terms in one stacked product, and
+``_lag_recursion`` each lag's terms in one reduce; the oracles below are the
+loops they replaced, kept verbatim.  ``_smooth_length`` is checked against a
+brute-force search for the transform lengths of ``_lag_convolve``.  Trek path
 filters are kept on the model by vertex prefix, and every companion-radius
 certificate is solved once per model, block and cut; each caller still gates
 the kept radius itself.
@@ -21,6 +23,8 @@ from svarpg.errors import NonConvergentError, SingularContemporaneousError
 from svarpg.filters import (
     _cut,
     _filter_series,
+    _lag_recursion,
+    _smooth_length,
     acs_via_ma_infinity,
     acs_via_sep,
     ccf,
@@ -48,6 +52,51 @@ def _psi_loop_series(m: SvarModel, L: int, block: slice, cut=()) -> np.ndarray:
     for t in range(1, min(L, p) + 1):
         g[t:] -= autos[t][:, None] * psi[: L + 1 - t]
     return g
+
+
+def _lag_recursion_loop(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    """Reference: the recursion with one Python sum of products per lag."""
+    p = len(b) - 1
+    lam = np.zeros((L + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for s in range(L + 1):
+        acc = b[s] if s <= p else 0.0
+        for j in range(1, min(s, p) + 1):
+            acc = acc + lam[s - j] * a[j]
+        lam[s] = acc
+    return lam
+
+
+RECURSION_SHAPES = [
+    # (a shape, b shape) past the lag axis
+    ((), ()),
+    ((1,), ()),
+    ((1, 1), (1, 1)),
+    ((1, 5), (5, 5)),
+    ((5, 5), (5, 5)),
+    ((4,), ()),
+]
+
+
+@pytest.mark.parametrize("shapes", RECURSION_SHAPES, ids=[str(s) for s in RECURSION_SHAPES])
+@pytest.mark.parametrize("p,L", [(0, 0), (0, 6), (3, 1), (3, 40), (11, 7), (11, 64)])
+def test_one_reduce_per_lag_equals_the_scalar_loop_bit_for_bit(shapes, p, L):
+    rng = np.random.default_rng(100 * p + L)
+    a_shape, b_shape = shapes
+    # magnitudes over twenty decades, so any change in the order of the sums shows
+    a = rng.normal(size=(p + 1, *a_shape)) * 0.4
+    b = rng.normal(size=(p + 1, *b_shape)) * 10.0 ** rng.integers(-10, 10, size=(p + 1, *b_shape))
+    got, want = _lag_recursion(a, b, L), _lag_recursion_loop(a, b, L)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_smooth_length_is_the_least_5_smooth_length_not_below_the_size():
+    # every 2^i 3^j 5^k up to 2^14 = 16384, the least one above 10000 included
+    smooth = np.unique([2**i * 3**j * 5**k for i in range(15) for j in range(10) for k in range(7)])
+    sizes = np.arange(1, 10001)
+    want = smooth[np.searchsorted(smooth, sizes)]
+    assert [_smooth_length(int(n)) for n in sizes] == want.tolist()
 
 
 def _cyclic(order: int = 2, seed: int = 11) -> SvarModel:

@@ -351,6 +351,43 @@ def test_eigenvalues_are_taken_only_where_the_bound_could_beat_the_maximum(graph
     assert rep.loop_spectral_radius == _full_sweep(graph_c, 256)
 
 
+def _random_dag(seed: int) -> SvarModel:
+    """Random edges from earlier to later vertices of a shuffled order, and a latent
+    source into two observed processes."""
+    rng = np.random.default_rng([26, seed])
+    names = [str(v) for v in rng.permutation(list("ABCDE"))]
+    edges = [(v, w) for i, v in enumerate(names) for w in names[i + 1 :] if rng.random() < 0.5]
+    edges += [("L", names[i]) for i in rng.choice(5, size=2, replace=False)]
+    return random_model(rng, tuple("ABCDE"), ("L",), tuple(edges), 3, bool(seed % 2))
+
+
+def test_acyclic_masks_match_nilpotency():
+    rng = np.random.default_rng(26)
+    for n in range(1, 9):
+        for density in (0.1, 0.3, 0.6):
+            mask = rng.random((n, n)) < density
+            np.fill_diagonal(mask, False)
+            perm = rng.permutation(n)
+            if rng.random() < 0.5:  # half of them DAGs
+                mask = np.triu(mask)[np.ix_(perm, perm)]
+            power = np.linalg.matrix_power(mask.astype(int), n)
+            assert model._acyclic(mask) is (not power.any())
+
+
+def test_acyclic_loop_radius_is_zero_without_eigenvalues(monkeypatch):
+    dags = [load_model(FIXTURES / f"{name}.json") for name in ("graph_a", "graph_b", "instrument", "confounded_mediator")]
+    dags += [_random_dag(seed) for seed in range(12)]
+    grids = (1, 7, 256)
+    sweeps = [[_full_sweep(m, grid_size) for grid_size in grids] for m in dags]
+    eigvals, seen = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.shape) or eigvals(a))
+    for m, sweep in zip(dags, sweeps):
+        assert [check_stability(m, grid_size).loop_spectral_radius for grid_size in grids] == sweep == [0.0] * 3
+    assert sum(shape[0] for shape in seen if len(shape) == 3) == 0
+    for name in ("graph_c", "feedback_mediator"):
+        assert not model._acyclic(load_model(FIXTURES / f"{name}.json")._edge_mask)
+
+
 def test_process_graph_edges(graph_b):
     g = process_graph(graph_b)
     assert g.edges == frozenset(
